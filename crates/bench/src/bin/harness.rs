@@ -22,8 +22,9 @@
 //! inspection, not internet-scale stress.
 //!
 //! `--shards LIST` (comma-separated, e.g. `--shards 1,2,4`) selects the
-//! engine(s) e14, e15, e16, e17, and e18 run on: 1 is the serial
-//! engine, >1 the sharded engine with that many worker calendars.
+//! shard counts e14, e15, e16, e17, and e18 run at. The shard count
+//! picks the engine (`pvr_netsim::Engine`): 1 runs the serial engine,
+//! and more run the sharded engine with that many worker calendars.
 //! Defaults to `1`, or `1,2` under `--quick` so CI smoke covers both
 //! engines. Deterministic e14/e15/e16/e17/e18 fields are identical at
 //! every shard count; the CI determinism job diffs them.
@@ -32,9 +33,10 @@
 //! milliseconds (default 10); `--checkpoint-dir DIR` keeps e18's
 //! checkpoint files under DIR (per-shard-count subdirectories `s<N>/`)
 //! instead of a deleted temp directory; `--restore FILE` adds e18's
-//! operator drill — restore FILE (either engine) and replay it to
-//! quiescence. All three require e18 to be selected and are validated
-//! up front (exit 2).
+//! operator drill — restore FILE (on the engine and shard count it
+//! names) and replay it to quiescence; a file that does not restore
+//! prints the typed checkpoint error and exits 2. All three require
+//! e18 to be selected and are validated up front (exit 2).
 //!
 //! `--smc-batch N` sets e17's GMW batch width (lanes per word, 1–64;
 //! default 64). Requires e17 to be selected.
@@ -548,7 +550,11 @@ fn main() {
             checkpoint_every,
             checkpoint_dir.as_deref().map(std::path::Path::new),
             restore.as_deref().map(std::path::Path::new),
-        );
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("error: --restore `{}`: {e}", restore.as_deref().unwrap_or_default());
+            std::process::exit(2);
+        });
         let wall = t.elapsed().as_secs_f64();
         if json {
             let rows: Vec<String> = m

@@ -908,157 +908,6 @@ pub fn e14_params(ases: usize) -> InternetParams {
     }
 }
 
-/// A converged network on either engine — the dispatch E14 uses so one
-/// measurement loop covers serial (`shards == 1`) and sharded runs.
-enum E14Net {
-    Serial(pvr_bgp::BgpNetwork),
-    Sharded(pvr_bgp::ShardedBgpNetwork),
-}
-
-impl E14Net {
-    fn build(topology: &pvr_bgp::Topology, options: InstantiateOptions, shards: usize) -> E14Net {
-        if shards <= 1 {
-            E14Net::Serial(topology.instantiate(options))
-        } else {
-            E14Net::Sharded(topology.instantiate_sharded(options, shards))
-        }
-    }
-
-    fn install_origin_table(&mut self, table: std::sync::Arc<pvr_bgp::OriginTable>) {
-        match self {
-            E14Net::Serial(n) => n.install_origin_table(table),
-            E14Net::Sharded(n) => n.install_origin_table(table),
-        }
-    }
-
-    fn install_fault_plan(&mut self, plan: pvr_netsim::FaultPlan) {
-        match self {
-            E14Net::Serial(n) => n.install_fault_plan(plan),
-            E14Net::Sharded(n) => n.install_fault_plan(plan),
-        }
-    }
-
-    fn node_of(&self, asn: Asn) -> pvr_netsim::NodeId {
-        match self {
-            E14Net::Serial(n) => n.node_of(asn),
-            E14Net::Sharded(n) => n.node_of(asn),
-        }
-    }
-
-    fn router_totals(&self) -> pvr_bgp::RouterStats {
-        match self {
-            E14Net::Serial(n) => n.router_totals(),
-            E14Net::Sharded(n) => n.router_totals(),
-        }
-    }
-
-    fn converge(&mut self, limits: RunLimits) -> pvr_netsim::StopReason {
-        match self {
-            E14Net::Serial(n) => n.converge(limits),
-            E14Net::Sharded(n) => n.converge(limits),
-        }
-    }
-
-    fn sim_stats(&self) -> pvr_netsim::SimStats {
-        match self {
-            E14Net::Serial(n) => n.sim.stats().clone(),
-            E14Net::Sharded(n) => n.sim.stats().clone(),
-        }
-    }
-
-    fn ases(&self) -> Vec<Asn> {
-        match self {
-            E14Net::Serial(n) => n.ases().collect(),
-            E14Net::Sharded(n) => n.ases().collect(),
-        }
-    }
-
-    fn router(&self, asn: Asn) -> &pvr_bgp::BgpRouter {
-        match self {
-            E14Net::Serial(n) => n.router(asn),
-            E14Net::Sharded(n) => n.router(asn),
-        }
-    }
-
-    fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
-        match self {
-            E14Net::Serial(n) => n.metrics_snapshot(security_mode),
-            E14Net::Sharded(n) => n.metrics_snapshot(security_mode),
-        }
-    }
-
-    fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
-        match self {
-            E14Net::Serial(n) => n.convergence_timeline(),
-            E14Net::Sharded(n) => n.convergence_timeline(),
-        }
-    }
-
-    fn trace_jsonl(&self) -> String {
-        match self {
-            E14Net::Serial(n) => n.trace_jsonl(),
-            E14Net::Sharded(n) => n.trace_jsonl(),
-        }
-    }
-
-    fn now_us(&self) -> u64 {
-        match self {
-            E14Net::Serial(n) => n.sim.now().as_micros(),
-            E14Net::Sharded(n) => n.sim.now().as_micros(),
-        }
-    }
-
-    fn private_verifier(&self) -> Option<&std::sync::Arc<pvr_bgp::PrivateVerifier>> {
-        match self {
-            E14Net::Serial(n) => n.private_verifier(),
-            E14Net::Sharded(n) => n.private_verifier(),
-        }
-    }
-
-    fn rib_fingerprint_hex(&self) -> String {
-        match self {
-            E14Net::Serial(n) => n.rib_fingerprint().to_hex(),
-            E14Net::Sharded(n) => n.rib_fingerprint().to_hex(),
-        }
-    }
-
-    fn snapshot_times(&self) -> Vec<pvr_netsim::SimTime> {
-        match self {
-            E14Net::Serial(n) => n.snapshot_times(),
-            E14Net::Sharded(n) => n.snapshot_times(),
-        }
-    }
-
-    fn checkpoint(&mut self, path: &std::path::Path) -> Result<u64, pvr_bgp::CheckpointError> {
-        match self {
-            E14Net::Serial(n) => n.checkpoint(path),
-            E14Net::Sharded(n) => n.checkpoint(path),
-        }
-    }
-
-    fn converge_checkpointed(
-        &mut self,
-        limits: RunLimits,
-        every: SimDuration,
-        dir: &std::path::Path,
-    ) -> Result<(pvr_netsim::StopReason, std::path::PathBuf), pvr_bgp::CheckpointError> {
-        match self {
-            E14Net::Serial(n) => n.converge_checkpointed(limits, every, dir),
-            E14Net::Sharded(n) => n.converge_checkpointed(limits, every, dir),
-        }
-    }
-
-    /// Restores from a checkpoint file onto the engine the file was
-    /// written by (`shards` picks the variant, matching `build`).
-    fn restore(shards: usize, path: &std::path::Path) -> Result<E14Net, pvr_bgp::CheckpointError> {
-        if shards <= 1 {
-            pvr_bgp::BgpNetwork::restore(path).map(E14Net::Serial)
-        } else {
-            pvr_bgp::ShardedBgpNetwork::restore(path).map(E14Net::Sharded)
-        }
-    }
-}
-
 /// E14 — internet-scale route propagation: converged `internet_like`
 /// runs at a ladder of AS counts (56 → 1 000 → `max_scale`) under
 /// `Plain`/`Signed`/`Pvr`, at each requested shard count (1 = the
@@ -1122,8 +971,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
         for &shards in &shard_counts {
             let mut signed_cell: Option<E14Cell> = None;
             for (mode, signed) in [("plain", false), ("signed", true)] {
-                let mut net = E14Net::build(
-                    &topology,
+                let mut net = topology.instantiate_sharded(
                     InstantiateOptions { seed: 14, signed, key_bits: 512, ..Default::default() },
                     shards,
                 );
@@ -1138,7 +986,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
                     pvr_netsim::StopReason::Quiescent,
                     "e14 scale {scale} {mode} shards {shards}"
                 );
-                let stats = net.sim_stats();
+                let stats = net.sim.stats();
                 let mut rib = 0u64;
                 let mut shorts = 0u64;
                 for asn in net.ases() {
@@ -1160,7 +1008,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
                     peak_rib_entries: rib,
                     bytes_on_wire: stats.bytes_sent,
                     short_circuits: shorts,
-                    final_rib_sha256: net.rib_fingerprint_hex(),
+                    final_rib_sha256: net.rib_fingerprint().to_hex(),
                 };
                 write_e14_row(&mut out, &cell);
                 if signed {
@@ -1314,8 +1162,7 @@ pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E
         let topology = internet_like(params, 14);
         for &shards in &shard_counts {
             for (mode, signed) in [("plain", false), ("signed", true)] {
-                let mut net = E14Net::build(
-                    &topology,
+                let mut net = topology.instantiate_sharded(
                     InstantiateOptions {
                         seed: 14,
                         signed,
@@ -1505,7 +1352,11 @@ fn edge_endpoints(edge: &pvr_bgp::Edge) -> (Asn, Asn) {
 /// (down/up ramps through the churn window) and one session that resets
 /// twice. Node ids come from `net`, but both engines assign them
 /// identically, so the plan is engine-independent.
-fn e16_fault_plan(topology: &pvr_bgp::Topology, net: &E14Net, fault_seed: u64) -> FaultPlan {
+fn e16_fault_plan(
+    topology: &pvr_bgp::Topology,
+    net: &pvr_bgp::BgpNetwork,
+    fault_seed: u64,
+) -> FaultPlan {
     use pvr_netsim::{Fault, SimTime};
     let edges = topology.edges();
     let mut rng = HmacDrbg::from_u64_labeled(fault_seed, "e16-faults");
@@ -1753,7 +1604,7 @@ pub fn e16_churn(
     let mut engine_checks: Vec<String> = Vec::new();
     let mut metrics: Option<E16Metrics> = None;
     for &shards in &shard_counts {
-        let mut net = E14Net::build(&topology, options, shards);
+        let mut net = topology.instantiate_sharded(options, shards);
         net.install_fault_plan(e16_fault_plan(&topology, &net, fault_seed));
         let stop = net.converge(RunLimits::none());
         assert_eq!(
@@ -1763,7 +1614,7 @@ pub fn e16_churn(
         );
         let timeline = net.convergence_timeline().expect("timeline enabled");
         let snap = net.metrics_snapshot("plain");
-        let stats = net.sim_stats();
+        let stats = net.sim.stats().clone();
         let totals = net.router_totals();
         let mut settles = settle_times_us(&schedule, &timeline);
         settles.sort_unstable();
@@ -1979,8 +1830,7 @@ pub fn e17_private_path(
         for &shards in &shard_counts {
             let mut measured: Vec<(bool, u64, u64, f64)> = Vec::new();
             for private in [false, true] {
-                let mut net = E14Net::build(
-                    &topology,
+                let mut net = topology.instantiate_sharded(
                     InstantiateOptions {
                         seed: 17,
                         signed: true,
@@ -2000,8 +1850,8 @@ pub fn e17_private_path(
                     pvr_netsim::StopReason::Quiescent,
                     "e17 scale {scale} shards {shards} private={private}"
                 );
-                let events = net.sim_stats().events;
-                let sim_us = net.now_us();
+                let events = net.sim.stats().events;
+                let sim_us = net.sim.now().as_micros();
                 measured.push((private, events, sim_us, wall));
                 let (requests, batches, occ, bits, verdicts) = if private {
                     let verifier = net.private_verifier().expect("private verifier wired");
@@ -2231,15 +2081,16 @@ pub struct E18Metrics {
 /// `checkpoint_dir` keeps the checkpoint files (per-shard-count
 /// subdirectories `s<N>/`); by default they go to a temp directory
 /// that is removed afterwards. `restore` adds an operator drill: the
-/// given checkpoint file is restored (either engine) and replayed to
-/// quiescence, reported in the table only.
+/// given checkpoint file is restored (on the engine and shard count it
+/// names) and replayed to quiescence, reported in the table only. A
+/// file that does not restore is the drill's only error.
 pub fn e18_durability(
     max_scale: usize,
     shard_counts: &[usize],
     every_ms: u64,
     checkpoint_dir: Option<&std::path::Path>,
     restore: Option<&std::path::Path>,
-) -> (String, E18Metrics) {
+) -> Result<(String, E18Metrics), pvr_bgp::CheckpointError> {
     use pvr_netsim::StopReason;
 
     let scale = max_scale;
@@ -2317,19 +2168,19 @@ pub fn e18_durability(
     let mut ases_actual = topology.as_count();
     for &shards in &shard_counts {
         // Uninterrupted baseline.
-        let mut baseline = E14Net::build(&topology, options, shards);
+        let mut baseline = topology.instantiate_sharded(options, shards);
         baseline.install_origin_table(std::sync::Arc::clone(&origin_table));
         let t = Instant::now();
         let stop = baseline.converge(RunLimits::none());
         let baseline_wall_secs = t.elapsed().as_secs_f64();
         assert_eq!(stop, StopReason::Quiescent, "e18 baseline shards {shards}");
-        let base_stats = baseline.sim_stats();
-        let final_rib_sha256 = baseline.rib_fingerprint_hex();
+        let base_stats = baseline.sim.stats().clone();
+        let final_rib_sha256 = baseline.rib_fingerprint().to_hex();
         ases_actual = topology.as_count();
 
         // The same run, checkpointed at every slice boundary.
         let dir = base_dir.join(format!("s{shards}"));
-        let mut ck = E14Net::build(&topology, options, shards);
+        let mut ck = topology.instantiate_sharded(options, shards);
         ck.install_origin_table(std::sync::Arc::clone(&origin_table));
         let t = Instant::now();
         let (stop, _last) = ck
@@ -2337,7 +2188,7 @@ pub fn e18_durability(
             .expect("e18 checkpointed converge");
         let checkpointed_wall_secs = t.elapsed().as_secs_f64();
         assert_eq!(stop, StopReason::Quiescent, "e18 checkpointed shards {shards}");
-        assert_eq!(ck.sim_stats().events, base_stats.events, "e18 slicing changed the run");
+        assert_eq!(ck.sim.stats().events, base_stats.events, "e18 slicing changed the run");
         let snapshots_retained = ck.snapshot_times().len();
 
         // One explicit checkpoint, timed in isolation for throughput.
@@ -2365,14 +2216,14 @@ pub fn e18_durability(
 
         // The crash: restore the middle checkpoint, replay, compare.
         let t = Instant::now();
-        let mut recovered = E14Net::restore(shards, kill_point).expect("e18 restore");
-        let events_at_kill = recovered.sim_stats().events;
+        let mut recovered = pvr_bgp::BgpNetwork::restore(kill_point).expect("e18 restore");
+        let events_at_kill = recovered.sim.stats().events;
         let stop = recovered.converge(RunLimits::none());
         let recovery_wall_secs = t.elapsed().as_secs_f64();
         assert_eq!(stop, StopReason::Quiescent, "e18 recovery shards {shards}");
-        let recovered_identical = recovered.rib_fingerprint_hex() == final_rib_sha256
-            && recovered.sim_stats() == base_stats;
-        let replay_events = recovered.sim_stats().events - events_at_kill;
+        let recovered_identical = recovered.rib_fingerprint().to_hex() == final_rib_sha256
+            && *recovered.sim.stats() == base_stats;
+        let replay_events = recovered.sim.stats().events - events_at_kill;
 
         let row = E18Row {
             shards,
@@ -2421,7 +2272,7 @@ pub fn e18_durability(
     // Forensic bisect: a delayed hijack under COW snapshots, then
     // binary-search the history for the first poisoned instant. Plain
     // substrate (no origin validation — the hijack must land) on the
-    // serial engine (the bisect reads `BgpNetwork` history).
+    // serial engine.
     let mut hijack_top = internet_like(e14_params(scale), 18);
     let victim_prefix = hijack_top
         .ases()
@@ -2462,19 +2313,17 @@ pub fn e18_durability(
     // it parameterizes the run, so it stays out of the metrics record.
     if let Some(path) = restore {
         let t = Instant::now();
-        let mut net = E14Net::restore(1, path)
-            .or_else(|_| E14Net::restore(2, path))
-            .unwrap_or_else(|e| panic!("e18 --restore {}: {e}", path.display()));
-        let before = net.sim_stats().events;
+        let mut net = pvr_bgp::BgpNetwork::restore(path)?;
+        let before = net.sim.stats().events;
         let stop = net.converge(RunLimits::none());
         writeln!(
             out,
             "restore drill: {}: replayed {} events to {:?} in {:.1} ms, rib sha256={}",
             path.display(),
-            net.sim_stats().events - before,
+            net.sim.stats().events - before,
             stop,
             t.elapsed().as_secs_f64() * 1e3,
-            &net.rib_fingerprint_hex()[..12]
+            &net.rib_fingerprint().to_hex()[..12]
         )
         .unwrap();
     }
@@ -2492,7 +2341,7 @@ pub fn e18_durability(
         rows,
         forensic,
     };
-    (out, metrics)
+    Ok((out, metrics))
 }
 
 /// All experiments in order, as (id, output) pairs.

@@ -63,13 +63,11 @@
 //! forensic bisect binary-searches it for the first poisoned instant.
 
 use crate::decision::Candidate;
-use crate::router::BgpRouter;
-use crate::sbgp::VerifyCache;
-use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, ShardedBgpNetwork, Topology};
+use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, Topology};
 use crate::types::{Asn, Prefix};
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::sha256::Digest;
-use pvr_netsim::{RunLimits, SimDuration, SimTime, StateError, StopReason};
+use pvr_netsim::{Engine, RunLimits, SimDuration, SimTime, StateError, StopReason};
 use pvr_store::{
     dump_snapshots, load_snapshots, read_container, require_section, write_header, write_section,
     PMap, StoreError,
@@ -152,154 +150,6 @@ impl From<WireError> for CheckpointError {
     }
 }
 
-/// The engine-specific sliver of the checkpoint surface. Everything
-/// else — snapshot capture, file assembly, restore validation, the
-/// converge-in-slices drivers — is written once over this trait, so
-/// the serial and sharded paths cannot drift (the PR's dedup satellite:
-/// the engine pair shares free helpers instead of mirrored methods).
-trait CheckpointHost: Sized {
-    /// META engine-kind byte.
-    const ENGINE_KIND: u8;
-    /// Worker calendars (1 for the serial engine).
-    fn shard_count_of(&self) -> u64;
-    /// All ASes, ascending.
-    fn ases_vec(&self) -> Vec<Asn>;
-    /// Read access to one router.
-    fn router_of(&self, asn: Asn) -> &BgpRouter;
-    /// Write access to one router.
-    fn router_of_mut(&mut self, asn: Asn) -> &mut BgpRouter;
-    /// The verify cache(s): one network-wide (serial) or one per shard.
-    fn caches_of(&self) -> Vec<Arc<VerifyCache>>;
-    /// Whether the GMW private verifier is installed.
-    fn private_verification_active(&self) -> bool;
-    fn save_engine(&self) -> Result<Vec<u8>, StateError>;
-    fn load_engine(&mut self, bytes: &[u8]) -> Result<(), StateError>;
-    fn history_of(&self) -> &[(SimTime, PMap)];
-    fn history_of_mut(&mut self) -> &mut Vec<(SimTime, PMap)>;
-    fn now_of(&self) -> SimTime;
-    fn options_of(&self) -> InstantiateOptions;
-    fn topology_of(&self) -> &Topology;
-    fn run_engine(&mut self, limits: RunLimits) -> StopReason;
-    /// Re-instantiates a fresh network from restored META parts.
-    fn reinstantiate(
-        topology: &Topology,
-        options: InstantiateOptions,
-        shards: u64,
-    ) -> Result<Self, CheckpointError>;
-}
-
-impl CheckpointHost for BgpNetwork {
-    const ENGINE_KIND: u8 = KIND_SERIAL;
-    fn shard_count_of(&self) -> u64 {
-        1
-    }
-    fn ases_vec(&self) -> Vec<Asn> {
-        self.ases().collect()
-    }
-    fn router_of(&self, asn: Asn) -> &BgpRouter {
-        self.router(asn)
-    }
-    fn router_of_mut(&mut self, asn: Asn) -> &mut BgpRouter {
-        self.router_mut(asn)
-    }
-    fn caches_of(&self) -> Vec<Arc<VerifyCache>> {
-        self.verify_cache().cloned().into_iter().collect()
-    }
-    fn private_verification_active(&self) -> bool {
-        self.private_verifier().is_some()
-    }
-    fn save_engine(&self) -> Result<Vec<u8>, StateError> {
-        self.sim.save_state()
-    }
-    fn load_engine(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.sim.load_state(bytes)
-    }
-    fn history_of(&self) -> &[(SimTime, PMap)] {
-        &self.rib_history
-    }
-    fn history_of_mut(&mut self) -> &mut Vec<(SimTime, PMap)> {
-        &mut self.rib_history
-    }
-    fn now_of(&self) -> SimTime {
-        self.sim.now()
-    }
-    fn options_of(&self) -> InstantiateOptions {
-        self.options
-    }
-    fn topology_of(&self) -> &Topology {
-        &self.topology
-    }
-    fn run_engine(&mut self, limits: RunLimits) -> StopReason {
-        self.converge(limits)
-    }
-    fn reinstantiate(
-        topology: &Topology,
-        options: InstantiateOptions,
-        shards: u64,
-    ) -> Result<BgpNetwork, CheckpointError> {
-        if shards != 1 {
-            return Err(CheckpointError::State(StateError::ShardCountMismatch {
-                expected: shards as usize,
-                found: 1,
-            }));
-        }
-        Ok(topology.instantiate(options))
-    }
-}
-
-impl CheckpointHost for ShardedBgpNetwork {
-    const ENGINE_KIND: u8 = KIND_SHARDED;
-    fn shard_count_of(&self) -> u64 {
-        self.sim.shard_count() as u64
-    }
-    fn ases_vec(&self) -> Vec<Asn> {
-        self.ases().collect()
-    }
-    fn router_of(&self, asn: Asn) -> &BgpRouter {
-        self.router(asn)
-    }
-    fn router_of_mut(&mut self, asn: Asn) -> &mut BgpRouter {
-        self.router_mut(asn)
-    }
-    fn caches_of(&self) -> Vec<Arc<VerifyCache>> {
-        self.verify_caches().to_vec()
-    }
-    fn private_verification_active(&self) -> bool {
-        self.private_verifier().is_some()
-    }
-    fn save_engine(&self) -> Result<Vec<u8>, StateError> {
-        self.sim.save_state()
-    }
-    fn load_engine(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        self.sim.load_state(bytes)
-    }
-    fn history_of(&self) -> &[(SimTime, PMap)] {
-        &self.rib_history
-    }
-    fn history_of_mut(&mut self) -> &mut Vec<(SimTime, PMap)> {
-        &mut self.rib_history
-    }
-    fn now_of(&self) -> SimTime {
-        self.sim.now()
-    }
-    fn options_of(&self) -> InstantiateOptions {
-        self.options
-    }
-    fn topology_of(&self) -> &Topology {
-        &self.topology
-    }
-    fn run_engine(&mut self, limits: RunLimits) -> StopReason {
-        self.converge(limits)
-    }
-    fn reinstantiate(
-        topology: &Topology,
-        options: InstantiateOptions,
-        shards: u64,
-    ) -> Result<ShardedBgpNetwork, CheckpointError> {
-        Ok(topology.instantiate_sharded(options, shards as usize))
-    }
-}
-
 // ---------------------------------------------------------------------
 // COW RIB snapshots.
 
@@ -317,11 +167,11 @@ fn rib_key(asn: Asn, prefix: Prefix) -> Vec<u8> {
 /// `base`: cells equal to `base`'s are *not* re-inserted (the subtree
 /// stays shared), vanished cells are removed. Starting from the prior
 /// snapshot is what turns a long history into O(churn) memory.
-fn capture_rib<T: CheckpointHost>(net: &T, base: &PMap) -> PMap {
+fn capture_rib(net: &BgpNetwork, base: &PMap) -> PMap {
     let mut current: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
         std::collections::BTreeMap::new();
-    for asn in net.ases_vec() {
-        let router = net.router_of(asn);
+    for asn in net.ases() {
+        let router = net.router(asn);
         for prefix in router.selected_prefixes() {
             let cand = router.best_route(prefix).expect("selected prefix has a best route");
             current.insert(rib_key(asn, prefix), cand.to_wire());
@@ -346,56 +196,24 @@ fn capture_rib<T: CheckpointHost>(net: &T, base: &PMap) -> PMap {
     snap
 }
 
-fn snapshot_rib_impl<T: CheckpointHost>(net: &mut T) -> Digest {
-    let now = net.now_of();
-    let base = match net.history_of().last() {
-        // Re-capturing at the same instant replaces the last snapshot
-        // (converge slices can land on the same drained time twice).
-        Some((t, map)) if *t == now => {
-            let base = map.clone();
-            let snap = capture_rib(net, &base);
-            let hash = snap.root_hash();
-            let history = net.history_of_mut();
-            history.pop();
-            history.push((now, snap));
-            return hash;
-        }
-        Some((_, map)) => map.clone(),
-        None => PMap::new(),
-    };
-    let snap = capture_rib(net, &base);
-    let hash = snap.root_hash();
-    net.history_of_mut().push((now, snap));
-    hash
-}
-
-fn route_at_impl<T: CheckpointHost>(
-    net: &T,
-    asn: Asn,
-    prefix: Prefix,
-    t: SimTime,
-) -> Option<Candidate> {
-    let (_, snap) = net.history_of().iter().rev().find(|(at, _)| *at <= t)?;
-    let bytes = snap.get(&rib_key(asn, prefix))?;
-    pvr_crypto::decode_exact::<Candidate>(bytes).ok()
-}
-
 // ---------------------------------------------------------------------
 // Checkpoint assembly.
 
-fn meta_bytes<T: CheckpointHost>(net: &T) -> Result<Vec<u8>, CheckpointError> {
+fn meta_bytes(net: &BgpNetwork) -> Result<Vec<u8>, CheckpointError> {
     let mut buf = Vec::new();
-    buf.push(T::ENGINE_KIND);
-    net.shard_count_of().encode(&mut buf);
-    net.options_of().encode(&mut buf);
-    net.topology_of().encode(&mut buf);
+    buf.push(match net.sim {
+        Engine::Serial(_) => KIND_SERIAL,
+        Engine::Sharded(_) => KIND_SHARDED,
+    });
+    (net.sim.shard_count() as u64).encode(&mut buf);
+    net.options.encode(&mut buf);
+    net.topology.encode(&mut buf);
     // The origin table is installed imperatively, network-wide; embed
     // it so restore keeps rejecting unauthorized origins. Per-router
     // divergence would be silently collapsed, so it refuses instead.
-    let ases = net.ases_vec();
-    let first = ases.first().and_then(|&a| net.router_of(a).origin_table_ref());
-    for &asn in &ases {
-        let table = net.router_of(asn).origin_table_ref();
+    let first = net.ases().next().and_then(|a| net.router(a).origin_table_ref());
+    for asn in net.ases() {
+        let table = net.router(asn).origin_table_ref();
         let same = match (first, table) {
             (None, None) => true,
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -417,19 +235,18 @@ fn meta_bytes<T: CheckpointHost>(net: &T) -> Result<Vec<u8>, CheckpointError> {
     Ok(buf)
 }
 
-fn routers_bytes<T: CheckpointHost>(net: &T) -> Vec<u8> {
-    let ases = net.ases_vec();
+fn routers_bytes(net: &BgpNetwork) -> Vec<u8> {
     let mut buf = Vec::new();
-    (ases.len() as u32).encode(&mut buf);
-    for asn in ases {
+    (net.ases().count() as u32).encode(&mut buf);
+    for asn in net.ases() {
         asn.encode(&mut buf);
-        net.router_of(asn).save_dynamic(&mut buf);
+        net.router(asn).save_dynamic(&mut buf);
     }
     buf
 }
 
-fn caches_bytes<T: CheckpointHost>(net: &T) -> Vec<u8> {
-    let caches = net.caches_of();
+fn caches_bytes(net: &BgpNetwork) -> Vec<u8> {
+    let caches = net.verify_caches();
     let mut buf = Vec::new();
     (caches.len() as u32).encode(&mut buf);
     for cache in caches {
@@ -446,22 +263,22 @@ fn caches_bytes<T: CheckpointHost>(net: &T) -> Vec<u8> {
     buf
 }
 
-fn store_bytes<T: CheckpointHost>(net: &T) -> Vec<u8> {
+fn store_bytes(net: &BgpNetwork) -> Vec<u8> {
     let labeled: Vec<(u64, &PMap)> =
-        net.history_of().iter().map(|(t, map)| (t.as_micros(), map)).collect();
+        net.rib_history.iter().map(|(t, map)| (t.as_micros(), map)).collect();
     dump_snapshots(&labeled)
 }
 
 /// Serializes the whole network into checkpoint-container bytes. The
 /// refusal checks run first so a refused call does nothing at all.
-fn checkpoint_bytes<T: CheckpointHost>(net: &mut T) -> Result<Vec<u8>, CheckpointError> {
-    if net.private_verification_active() {
+fn checkpoint_bytes(net: &mut BgpNetwork) -> Result<Vec<u8>, CheckpointError> {
+    if net.private_verifier().is_some() {
         return Err(CheckpointError::Refused(
             "private-verification mode installs a barrier hook with transcript state",
         ));
     }
-    for asn in net.ases_vec() {
-        if net.router_of(asn).malice_active() {
+    for asn in net.ases() {
+        if net.router(asn).malice_active() {
             return Err(CheckpointError::Refused(
                 "a router has active malice, which is not reconstructible from the topology",
             ));
@@ -470,8 +287,8 @@ fn checkpoint_bytes<T: CheckpointHost>(net: &mut T) -> Result<Vec<u8>, Checkpoin
     // Fold the checkpoint instant into the RIB history so the STORE
     // section always covers "now" and `route_at` works right after
     // restore.
-    snapshot_rib_impl(net);
-    let engine = net.save_engine()?;
+    net.snapshot_rib();
+    let engine = net.sim.save_state()?;
     let meta = meta_bytes(net)?;
     let routers = routers_bytes(net);
     let caches = caches_bytes(net);
@@ -501,9 +318,9 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 // ---------------------------------------------------------------------
 // Restore.
 
-/// Decoded META section.
+/// Decoded META section. The engine kind byte is validated against the
+/// shard count and then implied by it, so it is not kept.
 struct Meta {
-    engine_kind: u8,
     shards: u64,
     options: InstantiateOptions,
     topology: Topology,
@@ -520,6 +337,11 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     if shards == 0 || shards > 4096 {
         return Err(CheckpointError::Corrupt("implausible shard count"));
     }
+    // The serial engine is exactly the one-shard engine: any other
+    // pairing was not written by this program.
+    if (engine_kind == KIND_SERIAL) != (shards == 1) {
+        return Err(CheckpointError::Corrupt("engine kind does not match the shard count"));
+    }
     let options = InstantiateOptions::decode(&mut r)?;
     let topology = Topology::decode(&mut r)?;
     let origin_table =
@@ -527,19 +349,17 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     if r.remaining() != 0 {
         return Err(CheckpointError::Wire(WireError::TrailingBytes(r.remaining())));
     }
-    Ok(Meta { engine_kind, shards, options, topology, origin_table })
+    Ok(Meta { shards, options, topology, origin_table })
 }
 
-/// Restores a network of type `T` from checkpoint bytes. Everything is
-/// parsed and validated against the freshly instantiated network before
-/// any state is applied; on any error the partially-built network is
-/// dropped and the caller keeps nothing.
-fn restore_bytes<T: CheckpointHost>(bytes: &[u8]) -> Result<T, CheckpointError> {
+/// Restores a network from checkpoint bytes, on the engine and shard
+/// count META names. Everything is parsed and validated against the
+/// freshly instantiated network before any state is applied; on any
+/// error the partially-built network is dropped and the caller keeps
+/// nothing.
+fn restore_bytes(bytes: &[u8]) -> Result<BgpNetwork, CheckpointError> {
     let sections = read_container(bytes, &CKPT_MAGIC, CKPT_VERSION)?;
     let meta = decode_meta(require_section(&sections, SEC_META)?)?;
-    if meta.engine_kind != T::ENGINE_KIND {
-        return Err(CheckpointError::State(StateError::EngineMismatch));
-    }
     if meta.options.private_verification {
         return Err(CheckpointError::Refused(
             "checkpoint claims private-verification mode, which cannot be checkpointed",
@@ -563,23 +383,23 @@ fn restore_bytes<T: CheckpointHost>(bytes: &[u8]) -> Result<T, CheckpointError> 
         history.push((t, map));
     }
 
-    let mut net = T::reinstantiate(&meta.topology, meta.options, meta.shards)?;
-    net.load_engine(engine)?;
+    let mut net = meta.topology.instantiate_sharded(meta.options, meta.shards as usize);
+    net.sim.load_state(engine)?;
 
     // Router states: the list must cover exactly the instantiated ASes,
     // in ascending order.
-    let ases = net.ases_vec();
+    let ases: Vec<Asn> = net.ases().collect();
     let mut r = Reader::new(routers);
     let count = u32::decode(&mut r)? as usize;
     if count != ases.len() {
         return Err(CheckpointError::Corrupt("router count does not match the topology"));
     }
-    for &asn in &ases {
+    for asn in ases {
         let saved = Asn::decode(&mut r)?;
         if saved != asn {
             return Err(CheckpointError::Corrupt("router list does not match the topology"));
         }
-        net.router_of_mut(asn).load_dynamic(&mut r)?;
+        net.router_mut(asn).load_dynamic(&mut r)?;
     }
     if r.remaining() != 0 {
         return Err(CheckpointError::Wire(WireError::TrailingBytes(r.remaining())));
@@ -587,13 +407,13 @@ fn restore_bytes<T: CheckpointHost>(bytes: &[u8]) -> Result<T, CheckpointError> 
 
     // Verify caches: count is a property of the engine shape, so it
     // must agree with what instantiation produced.
-    let targets = net.caches_of();
+    let targets = net.verify_caches();
     let mut r = Reader::new(caches);
     let count = u32::decode(&mut r)? as usize;
     if count != targets.len() {
         return Err(CheckpointError::Corrupt("verify-cache count does not match the engine"));
     }
-    for cache in &targets {
+    for cache in targets {
         let calls = u64::decode(&mut r)?;
         let hits = u64::decode(&mut r)?;
         let mut entries = Vec::new();
@@ -609,176 +429,148 @@ fn restore_bytes<T: CheckpointHost>(bytes: &[u8]) -> Result<T, CheckpointError> 
     }
 
     if let Some(table) = meta.origin_table {
-        install_table(&mut net, Arc::new(table));
+        net.install_origin_table(Arc::new(table));
     }
-    *net.history_of_mut() = history;
+    net.rib_history = history;
     Ok(net)
 }
 
-fn install_table<T: CheckpointHost>(net: &mut T, table: Arc<OriginTable>) {
-    for asn in net.ases_vec() {
-        net.router_of_mut(asn).set_origin_table(Arc::clone(&table));
-    }
-}
-
 // ---------------------------------------------------------------------
-// Converge-in-slices drivers.
+// Public surface.
 
-/// Runs to quiescence (or `limits`) while capturing a COW RIB snapshot
-/// every `every` of simulated time. Slice boundaries are deadline
-/// stops, which both engines drain identically — the snapshots land at
-/// engine-invariant instants.
-fn converge_with_snapshots_impl<T: CheckpointHost>(
-    net: &mut T,
-    limits: RunLimits,
-    every: SimDuration,
-) -> StopReason {
-    let every_us = every.as_micros().max(1);
-    // The engine clock stays at the last processed event on a deadline
-    // stop, so the boundary advances explicitly — never recomputed from
-    // `now`, which would re-run an empty slice forever.
-    let mut next = SimTime(net.now_of().as_micros() / every_us * every_us + every_us);
-    loop {
-        let slice_deadline = match limits.deadline {
-            Some(d) if d < next => d,
-            _ => next,
-        };
-        let slice = RunLimits { deadline: Some(slice_deadline), max_events: limits.max_events };
-        let reason = net.run_engine(slice);
-        snapshot_rib_impl(net);
-        match reason {
-            StopReason::Deadline => {
-                if limits.deadline == Some(slice_deadline) {
-                    return StopReason::Deadline;
-                }
-                next = SimTime(slice_deadline.as_micros() + every_us);
+impl BgpNetwork {
+    /// Captures the network-wide Loc-RIB into the COW snapshot history
+    /// at the current sim time and returns the snapshot's content hash
+    /// (the RIB fingerprint).
+    pub fn snapshot_rib(&mut self) -> Digest {
+        let now = self.sim.now();
+        // Re-capturing at the same instant replaces the last snapshot
+        // (converge slices can land on the same drained time twice).
+        let base = match self.rib_history.last() {
+            Some((t, map)) if *t == now => {
+                let base = map.clone();
+                self.rib_history.pop();
+                base
             }
-            other => return other,
+            Some((_, map)) => map.clone(),
+            None => PMap::new(),
+        };
+        let snap = capture_rib(self, &base);
+        let hash = snap.root_hash();
+        self.rib_history.push((now, snap));
+        hash
+    }
+
+    /// The content hash of the current network-wide Loc-RIB —
+    /// byte-identical across shard counts for the same logical state.
+    pub fn rib_fingerprint(&self) -> Digest {
+        let base = match self.rib_history.last() {
+            Some((_, map)) => map.clone(),
+            None => PMap::new(),
+        };
+        capture_rib(self, &base).root_hash()
+    }
+
+    /// What `asn` believed about `prefix` at sim time `t`, answered from
+    /// the retained snapshot history (the latest snapshot at or before
+    /// `t`). `None` when no snapshot covers `t` or the router had no
+    /// route installed.
+    pub fn route_at(&self, asn: Asn, prefix: Prefix, t: SimTime) -> Option<Candidate> {
+        let (_, snap) = self.rib_history.iter().rev().find(|(at, _)| *at <= t)?;
+        let bytes = snap.get(&rib_key(asn, prefix))?;
+        pvr_crypto::decode_exact::<Candidate>(bytes).ok()
+    }
+
+    /// Capture times of the retained RIB snapshots, ascending.
+    pub fn snapshot_times(&self) -> Vec<SimTime> {
+        self.rib_history.iter().map(|&(t, _)| t).collect()
+    }
+
+    /// Writes a self-contained checkpoint of the whole network to `path`
+    /// (crash-consistently: `.tmp` + rename) and returns the file size
+    /// in bytes. See the module docs for the format and the refusal
+    /// conditions.
+    pub fn checkpoint(&mut self, path: &Path) -> Result<u64, CheckpointError> {
+        let bytes = checkpoint_bytes(self)?;
+        write_atomic(path, &bytes)?;
+        Ok(bytes.len() as u64)
+    }
+
+    /// Restores a network from a checkpoint written by
+    /// [`checkpoint`](Self::checkpoint), on the engine and shard count
+    /// the file names. Fully validating: a corrupt or mismatched file
+    /// yields a typed error and no network. The result picks up exactly
+    /// where the saved run stopped — replaying it is byte-identical to
+    /// never having crashed.
+    pub fn restore(path: &Path) -> Result<BgpNetwork, CheckpointError> {
+        let bytes = std::fs::read(path)?;
+        restore_bytes(&bytes)
+    }
+
+    /// Runs to quiescence (or `limits`) capturing a COW RIB snapshot
+    /// every `every` of sim time. Slice boundaries are deadline stops,
+    /// which every engine drains identically, so the snapshots land at
+    /// shard-count-invariant instants.
+    pub fn converge_with_snapshots(&mut self, limits: RunLimits, every: SimDuration) -> StopReason {
+        self.converge_in_slices(limits, every, |net, _| {
+            net.snapshot_rib();
+            Ok(())
+        })
+        .expect("snapshot slices cannot fail")
+    }
+
+    /// Runs to quiescence (or `limits`) writing a checkpoint file into
+    /// `dir` every `every` of sim time (`ckpt-<t_ms>.pvr`). Returns the
+    /// stop reason and the path of the last checkpoint written (every
+    /// slice writes one, so there is always a last path).
+    pub fn converge_checkpointed(
+        &mut self,
+        limits: RunLimits,
+        every: SimDuration,
+        dir: &Path,
+    ) -> Result<(StopReason, std::path::PathBuf), CheckpointError> {
+        std::fs::create_dir_all(dir)?;
+        let mut last = std::path::PathBuf::new();
+        let reason = self.converge_in_slices(limits, every, |net, boundary| {
+            // Files are named by the slice boundary (a drained instant),
+            // not by the clock, which lags it.
+            last = dir.join(format!("ckpt-{:08}.pvr", boundary.as_micros() / 1000));
+            let bytes = checkpoint_bytes(net)?;
+            write_atomic(&last, &bytes)?;
+            Ok(())
+        })?;
+        Ok((reason, last))
+    }
+
+    /// Runs to quiescence (or `limits`) in deadline slices `every` of
+    /// sim time apart, calling `at_boundary` after each slice with the
+    /// slice's deadline.
+    fn converge_in_slices(
+        &mut self,
+        limits: RunLimits,
+        every: SimDuration,
+        mut at_boundary: impl FnMut(&mut BgpNetwork, SimTime) -> Result<(), CheckpointError>,
+    ) -> Result<StopReason, CheckpointError> {
+        let every_us = every.as_micros().max(1);
+        // The engine clock stays at the last processed event on a
+        // deadline stop, so the boundary advances explicitly — never
+        // recomputed from `now`, which would re-run an empty slice
+        // forever.
+        let mut next = SimTime(self.sim.now().as_micros() / every_us * every_us + every_us);
+        loop {
+            let slice_deadline = match limits.deadline {
+                Some(d) if d < next => d,
+                _ => next,
+            };
+            let slice = RunLimits { deadline: Some(slice_deadline), max_events: limits.max_events };
+            let reason = self.converge(slice);
+            at_boundary(self, slice_deadline)?;
+            match reason {
+                StopReason::Deadline if limits.deadline != Some(slice_deadline) => {
+                    next = SimTime(slice_deadline.as_micros() + every_us);
+                }
+                other => return Ok(other),
+            }
         }
     }
 }
-
-/// Like [`converge_with_snapshots_impl`], but also writes a full
-/// checkpoint file at every boundary: `dir/ckpt-<t_ms>.pvr`. Returns
-/// the stop reason and the path of the last checkpoint written (every
-/// slice writes one, so there is always a last path).
-fn converge_checkpointed_impl<T: CheckpointHost>(
-    net: &mut T,
-    limits: RunLimits,
-    every: SimDuration,
-    dir: &Path,
-) -> Result<(StopReason, std::path::PathBuf), CheckpointError> {
-    std::fs::create_dir_all(dir)?;
-    let every_us = every.as_micros().max(1);
-    let mut next = SimTime(net.now_of().as_micros() / every_us * every_us + every_us);
-    loop {
-        let slice_deadline = match limits.deadline {
-            Some(d) if d < next => d,
-            _ => next,
-        };
-        let slice = RunLimits { deadline: Some(slice_deadline), max_events: limits.max_events };
-        let reason = net.run_engine(slice);
-        // Files are named by the slice boundary (an engine-invariant
-        // drained instant), not by the clock, which lags it.
-        let path = dir.join(format!("ckpt-{:08}.pvr", slice_deadline.as_micros() / 1000));
-        let bytes = checkpoint_bytes(net)?;
-        write_atomic(&path, &bytes)?;
-        match reason {
-            StopReason::Deadline => {
-                if limits.deadline == Some(slice_deadline) {
-                    return Ok((StopReason::Deadline, path));
-                }
-                next = SimTime(slice_deadline.as_micros() + every_us);
-            }
-            other => return Ok((other, path)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Public surface (delegating inherent methods on both engines).
-
-macro_rules! checkpoint_api {
-    ($net:ty) => {
-        impl $net {
-            /// Captures the network-wide Loc-RIB into the COW snapshot
-            /// history at the current sim time and returns the
-            /// snapshot's content hash (the RIB fingerprint).
-            pub fn snapshot_rib(&mut self) -> Digest {
-                snapshot_rib_impl(self)
-            }
-
-            /// The content hash of the current network-wide Loc-RIB —
-            /// byte-identical across engines and shard counts for the
-            /// same logical state.
-            pub fn rib_fingerprint(&self) -> Digest {
-                let base = match self.history_of().last() {
-                    Some((_, map)) => map.clone(),
-                    None => PMap::new(),
-                };
-                capture_rib(self, &base).root_hash()
-            }
-
-            /// What `asn` believed about `prefix` at sim time `t`,
-            /// answered from the retained snapshot history (the latest
-            /// snapshot at or before `t`). `None` when no snapshot
-            /// covers `t` or the router had no route installed.
-            pub fn route_at(&self, asn: Asn, prefix: Prefix, t: SimTime) -> Option<Candidate> {
-                route_at_impl(self, asn, prefix, t)
-            }
-
-            /// Capture times of the retained RIB snapshots, ascending.
-            pub fn snapshot_times(&self) -> Vec<SimTime> {
-                self.history_of().iter().map(|&(t, _)| t).collect()
-            }
-
-            /// Writes a self-contained checkpoint of the whole network
-            /// to `path` (crash-consistently: `.tmp` + rename) and
-            /// returns the file size in bytes. See the module docs for
-            /// the format and the refusal conditions.
-            pub fn checkpoint(&mut self, path: &Path) -> Result<u64, CheckpointError> {
-                let bytes = checkpoint_bytes(self)?;
-                write_atomic(path, &bytes)?;
-                Ok(bytes.len() as u64)
-            }
-
-            /// Restores a network from a checkpoint written by
-            /// [`checkpoint`](Self::checkpoint). Fully validating: a
-            /// corrupt or mismatched file yields a typed error and no
-            /// network. The result picks up exactly where the saved
-            /// run stopped — replaying it is byte-identical to never
-            /// having crashed.
-            pub fn restore(path: &Path) -> Result<Self, CheckpointError> {
-                let bytes = std::fs::read(path)?;
-                restore_bytes(&bytes)
-            }
-
-            /// Runs to quiescence (or `limits`) capturing a COW RIB
-            /// snapshot every `every` of sim time, at engine-invariant
-            /// drained instants.
-            pub fn converge_with_snapshots(
-                &mut self,
-                limits: RunLimits,
-                every: SimDuration,
-            ) -> StopReason {
-                converge_with_snapshots_impl(self, limits, every)
-            }
-
-            /// Runs to quiescence (or `limits`) writing a checkpoint
-            /// file into `dir` every `every` of sim time
-            /// (`ckpt-<t_ms>.pvr`). Returns the stop reason and the
-            /// last checkpoint path.
-            pub fn converge_checkpointed(
-                &mut self,
-                limits: RunLimits,
-                every: SimDuration,
-                dir: &Path,
-            ) -> Result<(StopReason, std::path::PathBuf), CheckpointError> {
-                converge_checkpointed_impl(self, limits, every, dir)
-            }
-        }
-    };
-}
-
-checkpoint_api!(BgpNetwork);
-checkpoint_api!(ShardedBgpNetwork);

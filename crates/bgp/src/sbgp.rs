@@ -237,7 +237,7 @@ impl std::fmt::Debug for AttestationChain {
 /// `sbgp` re-verifies the *entire* chain at every import hop, so a
 /// route that crosses `h` ASes costs `O(h²)` RSA verifies network-wide
 /// — and every prefix-suffix attestation past the first hop is one
-/// some router already checked. One cache shared per
+/// some router already checked. One cache shared per shard of a
 /// [`crate::BgpNetwork`] collapses that: the verdict for an
 /// attestation depends only on the signer, the signed payload, and
 /// the signature bytes, all captured in the cache key.

@@ -19,8 +19,7 @@ use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_netsim::{
-    FaultPlan, LinkConfig, NodeId, RunLimits, ShardedSimulator, SimDuration, SimTime, Simulator,
-    StopReason,
+    Engine, FaultPlan, LinkConfig, NodeId, RunLimits, SimDuration, SimTime, StopReason,
 };
 use pvr_store::PMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -299,7 +298,8 @@ impl Topology {
 
     /// Builds `asn`'s router (policy, security mode, MRAI, originations,
     /// scheduled events) — everything except neighbor wiring and
-    /// verify-cache installation, which depend on the engine.
+    /// verify-cache installation, which depend on node ids and the
+    /// shard assignment.
     fn build_router(
         &self,
         asn: Asn,
@@ -353,41 +353,66 @@ impl Topology {
         router
     }
 
-    /// Instantiates the topology into a simulator.
-    ///
-    /// `options` controls link behaviour, signing, and key size. Returns
-    /// the network handle used by experiments and examples.
+    /// Instantiates the topology on one shard: the serial engine.
+    /// Equivalent to [`Topology::instantiate_sharded`]`(options, 1)`.
     pub fn instantiate(&self, options: InstantiateOptions) -> BgpNetwork {
-        let mut sim: Simulator<BgpUpdate> = Simulator::new(options.seed);
+        self.instantiate_sharded(options, 1)
+    }
+
+    /// Instantiates the topology, partitioning the AS graph across
+    /// `shards` worker calendars (see [`crate::partition`]). One shard
+    /// (or zero) runs the serial engine, more run the sharded engine
+    /// (see [`pvr_netsim::Engine`]). Node ids, key material, and all
+    /// deterministic run outputs except verify-cache hit counts are
+    /// identical at every shard count.
+    ///
+    /// Signed mode installs one [`VerifyCache`] *per shard*: a shard's
+    /// routers only ever run on that shard's worker thread, so
+    /// per-router counter attribution stays exact with no cross-shard
+    /// contention. At one shard that is a single network-wide memo, so
+    /// a chain already checked upstream is not re-verified at every
+    /// later hop. The trade is reuse scope: at several shards cache
+    /// hits can only be fewer than at one, never different verdicts.
+    pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
+        let shards = shards.max(1);
+        let mut sim: Engine<BgpUpdate> = Engine::new(options.seed, shards);
         sim.set_default_link(options.link);
         if let Some(window) = options.timeline_window {
             sim.enable_timeline(window);
         }
+        if options.signed {
+            // RSA verification dominates per-event cost in signed mode;
+            // even small windows amortize a thread spawn.
+            sim.set_spawn_threshold(4);
+        }
 
-        // Key material (signed mode only).
         let keystore = self.generate_identities(options);
+        let verify_caches: Vec<Arc<VerifyCache>> = if keystore.is_some() {
+            (0..shards).map(|_| Arc::new(VerifyCache::new())).collect()
+        } else {
+            Vec::new()
+        };
 
-        // One attestation-verification memo for the whole network: a
-        // chain already checked upstream is not re-verified limb by
-        // limb at every subsequent hop.
-        let verify_cache = keystore.as_ref().map(|_| Arc::new(VerifyCache::new()));
-
-        // Private verification: one shared verifier flushed at engine
-        // barriers (the sharded path installs the identical service,
-        // so outputs match across engines).
+        // Unlike the verify cache, the private verifier stays
+        // network-wide at every shard count: its flush sorts requests
+        // by the engine-invariant `(asn, seq)` key, so one shared
+        // service produces byte-identical outputs at any shard count
+        // (no per-shard carve-out needed).
         let private_verifier = new_private_verifier(options);
 
         // First pass: create routers so node ids are known.
+        let assignment = partition_by_degree(self, shards);
         let mut node_of = BTreeMap::new();
         for &asn in &self.ases {
             let mut router = self.build_router(asn, &keystore, options);
-            if let Some(cache) = &verify_cache {
+            let shard = assignment[&asn];
+            if let Some(cache) = verify_caches.get(shard) {
                 router.set_verify_cache(Arc::clone(cache));
             }
             if let Some(verifier) = &private_verifier {
                 router.set_private_verifier(Arc::clone(verifier));
             }
-            let node = sim.add_node(Box::new(router));
+            let node = sim.add_node(Box::new(router), shard);
             node_of.insert(asn, node);
         }
 
@@ -407,91 +432,6 @@ impl Topology {
         }
 
         BgpNetwork {
-            sim,
-            node_of,
-            keystore: keystore.map(|(ks, _)| ks),
-            verify_cache,
-            private_verifier,
-            topology: self.clone(),
-            options,
-            rib_history: Vec::new(),
-        }
-    }
-
-    /// Instantiates the topology into the sharded engine, partitioning
-    /// the AS graph across `shards` worker calendars (see
-    /// [`crate::partition`]). Node ids, key material, and all
-    /// deterministic run outputs are identical to
-    /// [`Topology::instantiate`]'s for the same options — at any shard
-    /// count.
-    ///
-    /// Signed mode installs one [`VerifyCache`] *per shard* rather than
-    /// the serial engine's network-wide memo: a shard's routers only
-    /// ever run on that shard's worker thread, so per-router counter
-    /// attribution stays exact with no cross-shard contention. The
-    /// trade is reuse scope — sharded cache hits can only be fewer than
-    /// serial hits, never different verdicts.
-    pub fn instantiate_sharded(
-        &self,
-        options: InstantiateOptions,
-        shards: usize,
-    ) -> ShardedBgpNetwork {
-        let shards = shards.max(1);
-        let mut sim: ShardedSimulator<BgpUpdate> = ShardedSimulator::new(options.seed, shards);
-        sim.set_default_link(options.link);
-        if let Some(window) = options.timeline_window {
-            sim.enable_timeline(window);
-        }
-        if options.signed {
-            // RSA verification dominates per-event cost in signed mode;
-            // even small windows amortize a thread spawn.
-            sim.set_spawn_threshold(4);
-        }
-
-        let keystore = self.generate_identities(options);
-        let verify_caches: Vec<Arc<VerifyCache>> = if keystore.is_some() {
-            (0..shards).map(|_| Arc::new(VerifyCache::new())).collect()
-        } else {
-            Vec::new()
-        };
-
-        // Unlike the verify cache, the private verifier stays
-        // network-wide even under sharding: its flush sorts requests
-        // by the engine-invariant `(asn, seq)` key, so one shared
-        // service produces byte-identical outputs at any shard count
-        // (no per-shard carve-out needed).
-        let private_verifier = new_private_verifier(options);
-
-        let assignment = partition_by_degree(self, shards);
-        let mut node_of = BTreeMap::new();
-        for &asn in &self.ases {
-            let mut router = self.build_router(asn, &keystore, options);
-            let shard = assignment[&asn];
-            if let Some(cache) = verify_caches.get(shard) {
-                router.set_verify_cache(Arc::clone(cache));
-            }
-            if let Some(verifier) = &private_verifier {
-                router.set_private_verifier(Arc::clone(verifier));
-            }
-            let node = sim.add_node_to_shard(Box::new(router), shard);
-            node_of.insert(asn, node);
-        }
-
-        for &asn in &self.ases {
-            let node = node_of[&asn];
-            let neighbors = self.neighbor_roles(asn);
-            let router = sim.node_mut::<BgpRouter>(node).expect("router downcast");
-            for (neighbor, _) in neighbors {
-                router.add_neighbor(neighbor, node_of[&neighbor]);
-            }
-        }
-
-        if let Some(verifier) = &private_verifier {
-            verifier.set_node_map(node_of.clone());
-            sim.set_barrier_hook(PrivateVerifier::hook(verifier));
-        }
-
-        ShardedBgpNetwork {
             sim,
             node_of,
             keystore: keystore.map(|(ks, _)| ks),
@@ -747,36 +687,6 @@ impl Wire for OriginTable {
     }
 }
 
-/// Label set shared by every network-level metric series.
-fn metric_labels(security_mode: &str) -> pvr_obs::LabelSet {
-    vec![("security_mode", security_mode.to_string())]
-}
-
-/// Network-level gauge series shared by both engines: RIB sizes and
-/// the verify-cache hit ratio. The hit ratio derives from
-/// `verify_cache_hits` — the one counter the sharded engine is allowed
-/// to disagree on (see [`RouterStats::shard_invariant`]) — so
-/// engine-equality comparisons must drop it alongside the counter.
-fn export_network_gauges(
-    registry: &mut pvr_obs::MetricsRegistry,
-    labels: &pvr_obs::LabelSet,
-    totals: &RouterStats,
-    adj_rib_in: u64,
-    loc_rib: u64,
-) {
-    let g = registry.gauge("pvr_adj_rib_in_entries", labels);
-    registry.set_gauge(g, adj_rib_in as f64);
-    let g = registry.gauge("pvr_loc_rib_entries", labels);
-    registry.set_gauge(g, loc_rib as f64);
-    let ratio = if totals.verify_calls > 0 {
-        totals.verify_cache_hits as f64 / totals.verify_calls as f64
-    } else {
-        0.0
-    };
-    let g = registry.gauge("pvr_verify_cache_hit_ratio", labels);
-    registry.set_gauge(g, ratio);
-}
-
 /// Merges per-router event journals into one globally time-ordered
 /// JSONL stream. Ties at the same instant break by ASN; within one
 /// router the journal's own order is kept (the sort is stable).
@@ -797,13 +707,14 @@ fn merge_trace_jsonl<'a>(routers: impl Iterator<Item = (Asn, &'a BgpRouter)>) ->
     out
 }
 
-/// An instantiated network: simulator plus AS → node mapping.
+/// An instantiated network: engine plus AS → node mapping, at any shard
+/// count.
 pub struct BgpNetwork {
-    /// The underlying simulator.
-    pub sim: Simulator<BgpUpdate>,
+    /// The underlying engine: serial at one shard, sharded above.
+    pub sim: Engine<BgpUpdate>,
     node_of: BTreeMap<Asn, NodeId>,
     keystore: Option<Arc<KeyStore>>,
-    verify_cache: Option<Arc<VerifyCache>>,
+    verify_caches: Vec<Arc<VerifyCache>>,
     private_verifier: Option<Arc<PrivateVerifier>>,
     /// The declaration this network was instantiated from; embedded in
     /// checkpoints so restore is self-contained.
@@ -814,6 +725,9 @@ pub struct BgpNetwork {
     /// [`crate::checkpoint`]).
     pub(crate) rib_history: Vec<(SimTime, PMap)>,
 }
+
+/// Alias of [`BgpNetwork`] for callers that name the sharded network.
+pub type ShardedBgpNetwork = BgpNetwork;
 
 impl BgpNetwork {
     /// Runs the network to quiescence (or the given limits).
@@ -842,14 +756,18 @@ impl BgpNetwork {
         self.keystore.as_ref()
     }
 
-    /// The network-wide attestation-verification cache in signed mode.
-    pub fn verify_cache(&self) -> Option<&Arc<VerifyCache>> {
-        self.verify_cache.as_ref()
+    /// The per-shard attestation-verification caches in signed mode
+    /// (empty in plain mode), indexed by shard: one network-wide cache
+    /// at one shard.
+    pub fn verify_caches(&self) -> &[Arc<VerifyCache>] {
+        &self.verify_caches
     }
 
     /// The network-wide private-verification service when the network
     /// was instantiated with
-    /// [`InstantiateOptions::private_verification`] set.
+    /// [`InstantiateOptions::private_verification`] set. One verifier
+    /// serves every shard: flush order is keyed on `(asn, seq)`, not on
+    /// shard scheduling, so its outputs are shard-count invariant.
     pub fn private_verifier(&self) -> Option<&Arc<PrivateVerifier>> {
         self.private_verifier.as_ref()
     }
@@ -894,20 +812,39 @@ impl BgpNetwork {
     /// One deterministic network-wide metrics snapshot: simulator and
     /// router counters plus RIB-size and verify-cache-hit-ratio
     /// gauges, every series labelled `security_mode=<mode>`.
+    ///
+    /// Router counters fold into one registry as network totals. Every
+    /// router series is a counter and counters merge by addition, so
+    /// this equals folding each shard's routers into a registry of its
+    /// own and merging those: the snapshot is identical at every shard
+    /// count except for series derived from `verify_cache_hits` (the
+    /// per-shard cache carve-out, see [`RouterStats::shard_invariant`]).
     pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
-        let labels = metric_labels(security_mode);
+        let labels: pvr_obs::LabelSet = vec![("security_mode", security_mode.to_string())];
         let mut registry = pvr_obs::MetricsRegistry::new();
         self.sim.stats().export_metrics(&mut registry, &labels);
         let totals = self.router_totals();
         totals.export_metrics(&mut registry, &labels);
         let (adj, loc) = self.rib_totals();
-        export_network_gauges(&mut registry, &labels, &totals, adj, loc);
+        let g = registry.gauge("pvr_adj_rib_in_entries", &labels);
+        registry.set_gauge(g, adj as f64);
+        let g = registry.gauge("pvr_loc_rib_entries", &labels);
+        registry.set_gauge(g, loc as f64);
+        let ratio = if totals.verify_calls > 0 {
+            totals.verify_cache_hits as f64 / totals.verify_calls as f64
+        } else {
+            0.0
+        };
+        let g = registry.gauge("pvr_verify_cache_hit_ratio", &labels);
+        registry.set_gauge(g, ratio);
         registry.snapshot()
     }
 
-    /// Assembles the per-window convergence timeline from the
-    /// simulator and router recorders. `None` unless the network was
+    /// Assembles the per-window convergence timeline from the engine
+    /// and router recorders. `None` unless the network was
     /// instantiated with [`InstantiateOptions::timeline_window`] set.
+    /// Identical at every shard count except for the
+    /// `verify_cache_hits` channel.
     pub fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
         let sim_tl = self.sim.timeline()?;
         let mut routers =
@@ -922,171 +859,15 @@ impl BgpNetwork {
 
     /// Per-router event journals merged into one time-ordered JSONL
     /// trace; empty unless the network was instantiated with a nonzero
-    /// [`InstantiateOptions::journal_capacity`].
+    /// [`InstantiateOptions::journal_capacity`]. Byte-identical at every
+    /// shard count (journals record verify *calls*, never cache hits).
     pub fn trace_jsonl(&self) -> String {
         merge_trace_jsonl(self.ases().map(|asn| (asn, self.router(asn))))
     }
 
-    /// Installs a scheduled fault plan into the simulator (node ids
-    /// from [`BgpNetwork::node_of`]). Faults fire at exact sim times,
-    /// identically on the sharded engine for the same plan.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.sim.set_fault_plan(plan);
-    }
-}
-
-/// An instantiated network running on the sharded engine: the parallel
-/// counterpart of [`BgpNetwork`], with the same accessor surface.
-pub struct ShardedBgpNetwork {
-    /// The underlying sharded simulator.
-    pub sim: ShardedSimulator<BgpUpdate>,
-    node_of: BTreeMap<Asn, NodeId>,
-    keystore: Option<Arc<KeyStore>>,
-    verify_caches: Vec<Arc<VerifyCache>>,
-    private_verifier: Option<Arc<PrivateVerifier>>,
-    /// The declaration this network was instantiated from; embedded in
-    /// checkpoints so restore is self-contained.
-    pub(crate) topology: Topology,
-    /// The options this network was instantiated with.
-    pub(crate) options: InstantiateOptions,
-    /// Copy-on-write RIB snapshots, ascending by capture time (see
-    /// [`crate::checkpoint`]).
-    pub(crate) rib_history: Vec<(SimTime, PMap)>,
-}
-
-impl ShardedBgpNetwork {
-    /// Runs the network to quiescence (or the given limits).
-    pub fn converge(&mut self, limits: RunLimits) -> StopReason {
-        self.sim.run(limits)
-    }
-
-    /// The simulator node hosting `asn`.
-    pub fn node_of(&self, asn: Asn) -> NodeId {
-        self.node_of[&asn]
-    }
-
-    /// Read access to `asn`'s router.
-    pub fn router(&self, asn: Asn) -> &BgpRouter {
-        self.sim.node::<BgpRouter>(self.node_of[&asn]).expect("router downcast")
-    }
-
-    /// Mutable access to `asn`'s router.
-    pub fn router_mut(&mut self, asn: Asn) -> &mut BgpRouter {
-        let node = self.node_of[&asn];
-        self.sim.node_mut::<BgpRouter>(node).expect("router downcast")
-    }
-
-    /// The shared key store in signed mode.
-    pub fn keystore(&self) -> Option<&Arc<KeyStore>> {
-        self.keystore.as_ref()
-    }
-
-    /// The per-shard attestation-verification caches in signed mode
-    /// (empty in plain mode), indexed by shard.
-    pub fn verify_caches(&self) -> &[Arc<VerifyCache>] {
-        &self.verify_caches
-    }
-
-    /// The network-wide private-verification service when the network
-    /// was instantiated with
-    /// [`InstantiateOptions::private_verification`] set. One verifier
-    /// serves every shard: flush order is keyed on `(asn, seq)`, not on
-    /// shard scheduling, so its outputs are shard-count invariant.
-    pub fn private_verifier(&self) -> Option<&Arc<PrivateVerifier>> {
-        self.private_verifier.as_ref()
-    }
-
-    /// Installs an origin-authorization table on every router. Call
-    /// before running: the check applies to announcements received
-    /// afterwards.
-    pub fn install_origin_table(&mut self, table: Arc<OriginTable>) {
-        let ases: Vec<Asn> = self.node_of.keys().copied().collect();
-        for asn in ases {
-            self.router_mut(asn).set_origin_table(Arc::clone(&table));
-        }
-    }
-
-    /// All ASes in the network.
-    pub fn ases(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.node_of.keys().copied()
-    }
-
-    /// Network-wide router-counter totals; see
-    /// [`BgpNetwork::router_totals`].
-    pub fn router_totals(&self) -> RouterStats {
-        let mut total = RouterStats::default();
-        for asn in self.ases() {
-            total.add(self.router(asn).stats());
-        }
-        total
-    }
-
-    /// Network-wide RIB entry totals `(adj_rib_in, loc_rib)`.
-    fn rib_totals(&self) -> (u64, u64) {
-        let mut adj = 0u64;
-        let mut loc = 0u64;
-        for asn in self.ases() {
-            let (a, l) = self.router(asn).rib_entry_counts();
-            adj += a as u64;
-            loc += l as u64;
-        }
-        (adj, loc)
-    }
-
-    /// The sharded counterpart of [`BgpNetwork::metrics_snapshot`]:
-    /// each shard's routers fold into that shard's own registry
-    /// (ascending ASN within the shard), the shard snapshots merge in
-    /// ascending shard order, and the network-level series layer on
-    /// top — the same fold order the serial engine's single pass
-    /// produces. The result is identical to the serial snapshot except
-    /// for series derived from `verify_cache_hits` (the carve-out).
-    pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
-        let labels = metric_labels(security_mode);
-        let mut per_shard: Vec<pvr_obs::MetricsRegistry> =
-            (0..self.sim.shard_count()).map(|_| pvr_obs::MetricsRegistry::new()).collect();
-        for asn in self.ases() {
-            let shard = self.sim.shard_of(self.node_of[&asn]);
-            self.router(asn).stats().export_metrics(&mut per_shard[shard], &labels);
-        }
-        let mut snap = pvr_obs::Snapshot::default();
-        for registry in &per_shard {
-            snap.merge(&registry.snapshot());
-        }
-        let mut network = pvr_obs::MetricsRegistry::new();
-        self.sim.stats().export_metrics(&mut network, &labels);
-        let totals = self.router_totals();
-        let (adj, loc) = self.rib_totals();
-        export_network_gauges(&mut network, &labels, &totals, adj, loc);
-        snap.merge(&network.snapshot());
-        snap
-    }
-
-    /// Assembles the per-window convergence timeline; see
-    /// [`BgpNetwork::convergence_timeline`]. Identical to the serial
-    /// timeline except for the `verify_cache_hits` channel.
-    pub fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
-        let sim_tl = self.sim.timeline()?;
-        let mut routers =
-            pvr_obs::TimelineRecorder::new(sim_tl.window_us(), pvr_obs::timeline::RT_CHANNELS);
-        for asn in self.ases() {
-            if let Some(tl) = self.router(asn).timeline() {
-                routers.merge(tl);
-            }
-        }
-        Some(pvr_obs::ConvergenceTimeline::assemble(sim_tl, &routers))
-    }
-
-    /// Per-router event journals merged into one time-ordered JSONL
-    /// trace; see [`BgpNetwork::trace_jsonl`]. Byte-identical to the
-    /// serial trace (journals record verify *calls*, never cache
-    /// hits).
-    pub fn trace_jsonl(&self) -> String {
-        merge_trace_jsonl(self.ases().map(|asn| (asn, self.router(asn))))
-    }
-
-    /// Installs a scheduled fault plan; see
-    /// [`BgpNetwork::install_fault_plan`]. The same plan produces
-    /// byte-identical runs at any shard count.
+    /// Installs a scheduled fault plan into the engine (node ids from
+    /// [`BgpNetwork::node_of`]). Faults fire at exact sim times, and the
+    /// same plan produces byte-identical runs at any shard count.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.sim.set_fault_plan(plan);
     }

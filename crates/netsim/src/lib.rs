@@ -11,6 +11,7 @@
 //! wall-clock reads, simple data structures. Determinism is a feature
 //! under test: identical seeds reproduce identical traces, bit for bit.
 
+pub mod engine;
 pub mod fault;
 pub mod link;
 pub mod shard;
@@ -18,6 +19,7 @@ pub mod sim;
 pub mod state;
 pub mod time;
 
+pub use engine::Engine;
 pub use fault::{Fault, FaultPlan};
 pub use link::LinkConfig;
 pub use shard::ShardedSimulator;

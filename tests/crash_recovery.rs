@@ -11,10 +11,13 @@
 use proptest::prelude::*;
 use pvr::bgp::{
     internet_like, Asn, BgpNetwork, CheckpointError, DampeningPolicy, InstantiateOptions,
-    InternetParams, LocalEvent, Malice, Prefix, ShardedBgpNetwork, Topology,
+    InternetParams, LocalEvent, Malice, Prefix, Topology, CKPT_MAGIC, CKPT_VERSION,
 };
 use pvr::crypto::drbg::HmacDrbg;
+use pvr::crypto::encoding::Wire;
+use pvr::crypto::sha256::sha256;
 use pvr::netsim::{Fault, FaultPlan, RunLimits, SimDuration, SimTime, StopReason};
+use pvr::store::{read_container, write_header, write_section};
 use std::path::PathBuf;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -59,26 +62,34 @@ fn fault_plan(net_node_of: &dyn Fn(Asn) -> usize, ases: &[Asn], seed: u64) -> Fa
     plan
 }
 
-/// One full kill-and-recover cycle on the serial engine: baseline run
-/// vs. run-until-`kill_at` → checkpoint → drop ("crash") → restore →
-/// replay. All three observables must match exactly.
-fn assert_serial_recovery(topology: &Topology, options: InstantiateOptions, kill_at: SimTime) {
-    let mut baseline = topology.instantiate(options);
+/// One full kill-and-recover cycle at `shards` shards: baseline run vs.
+/// run-until-`kill_at` → checkpoint → drop ("crash") → restore →
+/// replay. The recovered run must match its own uninterrupted baseline
+/// exactly (RIBs, simulator stats, metrics snapshot) and, above one
+/// shard, the one-shard RIB fingerprint too.
+fn assert_recovery(
+    topology: &Topology,
+    options: InstantiateOptions,
+    shards: usize,
+    kill_at: SimTime,
+) {
+    let mut baseline = topology.instantiate_sharded(options, shards);
     assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
 
-    let path = temp_path(&format!("serial-{}-{}", options.seed, kill_at.as_micros()));
-    let mut victim = topology.instantiate(options);
+    let path = temp_path(&format!("s{shards}-{}-{}", options.seed, kill_at.as_micros()));
+    let mut victim = topology.instantiate_sharded(options, shards);
     victim.converge(RunLimits::until(kill_at));
     victim.checkpoint(&path).expect("checkpoint");
     drop(victim); // the crash
 
     let mut recovered = BgpNetwork::restore(&path).expect("restore");
+    assert_eq!(recovered.sim.shard_count(), shards, "restore must keep the shard shape");
     assert_eq!(recovered.converge(RunLimits::none()), StopReason::Quiescent);
 
     assert_eq!(
         recovered.rib_fingerprint(),
         baseline.rib_fingerprint(),
-        "recovered RIBs diverge from the uninterrupted run (kill at {kill_at:?})"
+        "recovered RIBs diverge from the uninterrupted run ({shards} shards, kill at {kill_at:?})"
     );
     assert_eq!(recovered.sim.stats(), baseline.sim.stats(), "SimStats diverge after recovery");
     assert_eq!(
@@ -86,50 +97,20 @@ fn assert_serial_recovery(topology: &Topology, options: InstantiateOptions, kill
         baseline.metrics_snapshot("plain"),
         "metrics snapshots diverge after recovery"
     );
-}
-
-/// The sharded counterpart, at a given shard count. The recovered
-/// sharded run must match both its own uninterrupted sharded baseline
-/// (exactly) and the serial fingerprint (engine-invariantly).
-fn assert_sharded_recovery(
-    topology: &Topology,
-    options: InstantiateOptions,
-    shards: usize,
-    kill_at: SimTime,
-) {
-    let mut serial = topology.instantiate(options);
-    assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
-
-    let mut baseline = topology.instantiate_sharded(options, shards);
-    assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
-
-    let path = temp_path(&format!("sharded{shards}-{}-{}", options.seed, kill_at.as_micros()));
-    let mut victim = topology.instantiate_sharded(options, shards);
-    victim.converge(RunLimits::until(kill_at));
-    victim.checkpoint(&path).expect("checkpoint");
-    drop(victim);
-
-    let mut recovered = ShardedBgpNetwork::restore(&path).expect("restore");
-    assert_eq!(recovered.sim.shard_count(), shards, "restore must keep the shard shape");
-    assert_eq!(recovered.converge(RunLimits::none()), StopReason::Quiescent);
-
-    assert_eq!(
-        recovered.rib_fingerprint(),
-        baseline.rib_fingerprint(),
-        "recovered sharded RIBs diverge from uninterrupted sharded run ({shards} shards)"
-    );
-    assert_eq!(recovered.sim.stats(), baseline.sim.stats());
-    assert_eq!(recovered.metrics_snapshot("plain"), baseline.metrics_snapshot("plain"));
-    // Engine-invariance survives the crash: the recovered sharded RIB
-    // equals the serial one.
-    assert_eq!(recovered.rib_fingerprint(), serial.rib_fingerprint());
+    if shards > 1 {
+        // Shard-count invariance survives the crash: the recovered RIB
+        // equals the one-shard run's.
+        let mut serial = topology.instantiate(options);
+        assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
+        assert_eq!(recovered.rib_fingerprint(), serial.rib_fingerprint());
+    }
 }
 
 #[test]
 fn serial_kill_and_recover_plain() {
     let topology = small_internet(301);
     let options = InstantiateOptions { seed: 301, ..Default::default() };
-    assert_serial_recovery(&topology, options, SimTime(60_000));
+    assert_recovery(&topology, options, 1, SimTime(60_000));
 }
 
 #[test]
@@ -146,7 +127,7 @@ fn serial_kill_and_recover_signed_with_mrai_dampening() {
         dampening: Some(DampeningPolicy::default()),
         ..Default::default()
     };
-    assert_serial_recovery(&topology, options, SimTime(55_000));
+    assert_recovery(&topology, options, 1, SimTime(55_000));
 }
 
 #[test]
@@ -184,7 +165,7 @@ fn sharded_kill_and_recover_across_shard_counts() {
     let topology = small_internet(304);
     let options = InstantiateOptions { seed: 304, ..Default::default() };
     for shards in [1, 2, 4, 8] {
-        assert_sharded_recovery(&topology, options, shards, SimTime(60_000));
+        assert_recovery(&topology, options, shards, SimTime(60_000));
     }
 }
 
@@ -293,15 +274,20 @@ fn restore_reinstalls_the_origin_table() {
 // ---------------------------------------------------------------------
 // Corrupt-checkpoint hardening: no input may panic or half-apply.
 
-/// A small converged checkpoint to mutilate.
-fn checkpoint_bytes_fixture() -> Vec<u8> {
-    let topology = small_internet(308);
-    let options = InstantiateOptions { seed: 308, ..Default::default() };
-    let path = temp_path("fixture");
-    let mut net = topology.instantiate(options);
-    net.converge(RunLimits::until(SimTime(40_000)));
+/// Runs `net` until `kill_at`, checkpoints it to the temp file `tag`,
+/// and returns the file's bytes.
+fn checkpoint_at(mut net: BgpNetwork, kill_at: SimTime, tag: &str) -> Vec<u8> {
+    let path = temp_path(tag);
+    net.converge(RunLimits::until(kill_at));
     net.checkpoint(&path).expect("checkpoint");
-    std::fs::read(&path).expect("read fixture")
+    std::fs::read(&path).expect("read checkpoint")
+}
+
+/// A small mid-run checkpoint to mutilate.
+fn checkpoint_bytes_fixture() -> Vec<u8> {
+    let net =
+        small_internet(308).instantiate(InstantiateOptions { seed: 308, ..Default::default() });
+    checkpoint_at(net, SimTime(40_000), "fixture")
 }
 
 fn restore_mutilated(bytes: Vec<u8>, tag: &str) -> Result<BgpNetwork, CheckpointError> {
@@ -368,18 +354,120 @@ fn version_bump_is_rejected() {
     assert!(!matches!(err, CheckpointError::Io(_)), "got {err:?}");
 }
 
+/// META's section tag and engine-kind bytes (see the format table in
+/// `pvr_bgp::checkpoint`).
+const SEC_META: u8 = 1;
+const KIND_SERIAL: u8 = 0;
+const KIND_SHARDED: u8 = 1;
+
+/// Rewrites META's engine-kind byte and shard count, re-framing every
+/// section with valid digests so that only restore's own consistency
+/// check can object.
+fn reframe_meta(bytes: &[u8], kind: u8, shards: u64) -> Vec<u8> {
+    let sections = read_container(bytes, &CKPT_MAGIC, CKPT_VERSION).expect("well-formed file");
+    let mut out = Vec::new();
+    write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
+    for section in sections {
+        let mut payload = section.payload;
+        if section.tag == SEC_META {
+            let mut count = Vec::new();
+            shards.encode(&mut count);
+            payload[0] = kind;
+            payload[1..1 + count.len()].copy_from_slice(&count);
+        }
+        write_section(section.tag, &payload, &mut out);
+    }
+    out
+}
+
+/// A checkpoint of a small plain network at `shards` shards, mid-run.
+fn mid_run_checkpoint(seed: u64, shards: usize) -> Vec<u8> {
+    let options = InstantiateOptions { seed, ..Default::default() };
+    let net = small_internet(seed).instantiate_sharded(options, shards);
+    checkpoint_at(net, SimTime(30_000), &format!("mid-run-{seed}-s{shards}"))
+}
+
 #[test]
-fn wrong_engine_kind_is_rejected() {
-    let topology = small_internet(309);
-    let options = InstantiateOptions { seed: 309, ..Default::default() };
-    let path = temp_path("engine-mismatch");
-    let mut net = topology.instantiate_sharded(options, 2);
-    net.converge(RunLimits::until(SimTime(30_000)));
-    net.checkpoint(&path).expect("checkpoint");
-    let err = must_fail(BgpNetwork::restore(&path), "sharded file into serial restore");
-    assert!(matches!(err, CheckpointError::State(_)), "got {err:?}");
-    // The right engine still accepts it.
-    ShardedBgpNetwork::restore(&path).expect("sharded restore");
+fn engine_kind_must_match_shard_count() {
+    let serial = mid_run_checkpoint(309, 1);
+    let sharded = mid_run_checkpoint(309, 2);
+    // Control: re-framing with the values the file already holds keeps
+    // it restorable, so every refusal below is the kind/count check.
+    restore_mutilated(reframe_meta(&serial, KIND_SERIAL, 1), "reframed-serial")
+        .expect("re-framed serial file restores");
+    restore_mutilated(reframe_meta(&sharded, KIND_SHARDED, 2), "reframed-sharded")
+        .expect("re-framed sharded file restores");
+
+    let cases = [
+        (&serial, KIND_SHARDED, 1, "sharded kind at one shard"),
+        (&serial, KIND_SERIAL, 2, "serial kind at two shards"),
+        (&sharded, KIND_SERIAL, 2, "serial kind on a sharded file"),
+        (&sharded, KIND_SHARDED, 1, "sharded file claiming one shard"),
+    ];
+    for (i, (bytes, kind, shards, what)) in cases.into_iter().enumerate() {
+        let err = must_fail(
+            restore_mutilated(reframe_meta(bytes, kind, shards), &format!("kind-{i}")),
+            what,
+        );
+        assert!(
+            matches!(err, CheckpointError::Corrupt(msg) if msg.contains("engine kind")),
+            "{what}: got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn sharded_file_restores_through_one_restore() {
+    let topology = small_internet(310);
+    let options = InstantiateOptions { seed: 310, ..Default::default() };
+    let mut baseline = topology.instantiate_sharded(options, 2);
+    assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
+
+    let path = temp_path("one-restore-s2");
+    let mut victim = topology.instantiate_sharded(options, 2);
+    victim.converge(RunLimits::until(SimTime(30_000)));
+    victim.checkpoint(&path).expect("checkpoint");
+    drop(victim);
+
+    let mut recovered = BgpNetwork::restore(&path).expect("restore");
+    assert_eq!(recovered.sim.shard_count(), 2);
+    assert_eq!(recovered.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(recovered.rib_fingerprint(), baseline.rib_fingerprint());
+    assert_eq!(recovered.sim.stats(), baseline.sim.stats());
+    assert_eq!(recovered.metrics_snapshot("plain"), baseline.metrics_snapshot("plain"));
+}
+
+/// The network whose checkpoint bytes are pinned below: the 56-AS seed
+/// topology, signed, with MRAI batching.
+fn pinned_network() -> (Topology, InstantiateOptions) {
+    let options = InstantiateOptions {
+        seed: 56,
+        signed: true,
+        key_bits: 512,
+        mrai: Some(SimDuration::from_millis(5)),
+        ..Default::default()
+    };
+    (internet_like(InternetParams::default(), 56), options)
+}
+
+/// Where the pinned network is cut: mid-convergence.
+const PINNED_KILL_AT: SimTime = SimTime(35_000);
+/// SHA-256 of the pinned checkpoint at one shard (the serial engine),
+/// 954 465 bytes.
+const PINNED_SHA256_S1: &str = "36e746ed9715a4fb079b252f00fefab4171e564733662bae8189d8ff280d8cd8";
+/// SHA-256 of the pinned checkpoint at two shards, 957 649 bytes.
+const PINNED_SHA256_S2: &str = "2d48eec094ca8b986aab53c15586a72f42c7a14222e29ba3f4501f575de546e1";
+
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    let (topology, options) = pinned_network();
+    let one = checkpoint_at(topology.instantiate_sharded(options, 1), PINNED_KILL_AT, "pinned-s1");
+    assert_eq!(sha256(&one).to_hex(), PINNED_SHA256_S1, "one-shard checkpoint bytes moved");
+    let two = checkpoint_at(topology.instantiate_sharded(options, 2), PINNED_KILL_AT, "pinned-s2");
+    assert_eq!(sha256(&two).to_hex(), PINNED_SHA256_S2, "two-shard checkpoint bytes moved");
+    // `instantiate` is the one-shard network, byte for byte.
+    let plain = checkpoint_at(topology.instantiate(options), PINNED_KILL_AT, "pinned-instantiate");
+    assert!(plain == one, "instantiate and instantiate_sharded(_, 1) checkpoint differently");
 }
 
 proptest! {
@@ -412,10 +500,6 @@ proptest! {
             ..Default::default()
         };
         let kill_at = SimTime(kill_ms * 1000);
-        if shards == 1 {
-            assert_serial_recovery(&topology, options, kill_at);
-        } else {
-            assert_sharded_recovery(&topology, options, shards, kill_at);
-        }
+        assert_recovery(&topology, options, shards, kill_at);
     }
 }
