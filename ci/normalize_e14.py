@@ -8,36 +8,32 @@ to differ:
 
 - wall-clock timings (machine noise) and the shard count itself (the
   run's parameter, not its result);
-- everything derived from `verify_cache_hits` — the workspace-wide
-  carve-out: the sharded engine's per-shard verification caches see
-  fewer hits than the serial engine's network-wide cache, by design;
 - e18's checkpoint byte size — the checkpoint file's ENGINE section
   encodes per-engine scheduler state, so serial and sharded files for
   the same logical instant legitimately differ in size.
 
 Every other metric — e14's AS/edge/origin counts, event totals, peak
 RIB size, bytes on the wire, O(1) short-circuits; e15's metrics series
-and convergence-timeline windows; e16's settle-time percentiles,
-withdraw fan-out, dampening suppressions, fault counts, and the
-degradation/deployment tables (all sim-time derived, no timing fields
-at all); e17's baseline/private event counts, sim-time convergence,
-sim-time privacy-overhead multiplier, batch occupancy, and the full
-SMC bill (requests, batches, rounds, bits broadcast, modeled latency,
-verdict tally); e18's convergence events, snapshot/checkpoint counts,
-replayed events, `recovered_identical` verdict, the converged RIB's
-SHA-256 (both e14's per-cell `final_rib_sha256` and e18's), and the
-hijack-bisect forensic row — must survive unchanged, or the sharded
-engine has diverged from the serial one.
+and convergence-timeline windows, verify-cache hits included (one
+network-wide cache whose entries become visible at the next sim
+instant makes hit counts a function of the event set); e16's
+settle-time percentiles, withdraw fan-out, dampening suppressions,
+fault counts, and the degradation/deployment tables (all sim-time
+derived, no timing fields at all); e17's baseline/private event
+counts, sim-time convergence, sim-time privacy-overhead multiplier,
+batch occupancy, and the full SMC bill (requests, batches, rounds,
+bits broadcast, modeled latency, verdict tally); e18's convergence
+events, snapshot/checkpoint counts, replayed events,
+`recovered_identical` verdict, the converged RIB's SHA-256 (both
+e14's per-cell `final_rib_sha256` and e18's), and the hijack-bisect
+forensic row — must survive unchanged, or the sharded engine has
+diverged from the serial one.
 
 Usage: normalize_e14.py BENCH.json > normalized.json
 """
 
 import json
 import sys
-
-
-def is_hit_series(name):
-    return "verify_cache_hit" in name
 
 
 def normalize_e14(e14):
@@ -58,16 +54,10 @@ def normalize_e14(e14):
 
 
 def normalize_e15(e15):
-    series = e15.get("metrics")
-    assert series, "e15 record carries no metrics array"
-    windows = e15.get("timeline")
-    assert windows is not None, "e15 record carries no timeline array"
-    kept_series = [s for s in series if not is_hit_series(s["name"])]
-    kept_windows = [
-        {k: v for k, v in sorted(w.items()) if k != "verify_cache_hits"}
-        for w in windows
-    ]
-    return {"metrics": kept_series, "timeline": kept_windows}
+    # Nothing to strip: e15 carries no timing fields.
+    assert e15.get("metrics"), "e15 record carries no metrics array"
+    assert e15.get("timeline") is not None, "e15 record carries no timeline array"
+    return {"metrics": e15["metrics"], "timeline": e15["timeline"]}
 
 
 def normalize_e16(e16):

@@ -94,9 +94,10 @@ pub fn poisoning_scores(
 }
 
 /// Network-wide verification-cache statistics: `(calls, hits)` summed
-/// over the per-shard [`pvr_bgp::VerifyCache`]s, or zeros in plain mode.
+/// over every router's counters, or zeros in plain mode.
 pub fn verification_stats(net: &BgpNetwork) -> (u64, u64) {
-    net.verify_caches().iter().fold((0, 0), |(calls, hits), c| (calls + c.calls(), hits + c.hits()))
+    let totals = net.router_totals();
+    (totals.verify_calls, totals.verify_cache_hits)
 }
 
 /// Sums security rejections (attestation + origin failures) across all

@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pvr_bgp::{demo_chain, VerifyCache};
 use pvr_crypto::{drbg::HmacDrbg, sha256, RsaPrivateKey, Ubig};
+use pvr_netsim::SimTime;
 use std::hint::black_box;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -91,10 +92,12 @@ fn bench_chain_verify(c: &mut Criterion) {
     g.bench_function("uncached", |b| {
         b.iter(|| chain.verify(receiver, &keys).unwrap());
     });
+    // Filled at instant 0, read at instant 1: entries answer only
+    // lookups after their insert instant.
     let warm = VerifyCache::new();
-    chain.verify_cached(receiver, &keys, Some(&warm)).unwrap();
+    chain.verify_cached(receiver, &keys, Some(&mut warm.at(SimTime::ZERO))).unwrap();
     g.bench_function("warm_cache", |b| {
-        b.iter(|| chain.verify_cached(receiver, &keys, Some(&warm)).unwrap());
+        b.iter(|| chain.verify_cached(receiver, &keys, Some(&mut warm.at(SimTime(1)))).unwrap());
     });
     g.finish();
 }

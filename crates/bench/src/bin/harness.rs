@@ -75,10 +75,10 @@
 //! events, snapshot/checkpoint counts, checkpoint bytes, the
 //! kill-and-recover drill's replayed events and `recovered_identical`
 //! verdict, and the converged RIB's SHA-256 — plus the hijack-bisect
-//! forensic row. `ci/normalize_e14.py` strips the `verify_cache_hit*`
-//! series/fields — the engine-local carve-out — plus all wall-clock
-//! fields and e18's engine-local checkpoint byte size, and diffs the
-//! rest across shard counts.
+//! forensic row. `ci/normalize_e14.py` strips the wall-clock fields
+//! and e18's engine-local checkpoint byte size, and diffs the rest —
+//! verify-cache hit series and timeline fields included — across
+//! shard counts.
 
 /// One experiment: renders its table as a string.
 type Runner = fn() -> String;

@@ -681,6 +681,7 @@ pub fn e13_crypto_perf() -> String {
     use pvr_attack::SecurityMode;
     use pvr_bgp::{demo_chain, InstantiateOptions, VerifyCache};
     use pvr_crypto::Ubig;
+    use pvr_netsim::SimTime;
     use std::hint::black_box;
 
     let mut out = String::new();
@@ -756,14 +757,18 @@ pub fn e13_crypto_perf() -> String {
     let hops = 5u32;
     let (chain, keys, receiver) = demo_chain(hops, 1024, b"e13-chain");
     assert!(chain.verify(receiver, &keys).is_ok());
+    // The warm passes look up at a later sim instant than the fill:
+    // cache entries answer only lookups after their insert instant.
     let t_cold = median_secs(5, || {
         let cache = VerifyCache::new();
-        chain.verify_cached(receiver, &keys, Some(&cache)).unwrap();
+        chain.verify_cached(receiver, &keys, Some(&mut cache.at(SimTime::ZERO))).unwrap();
     });
     let warm = VerifyCache::new();
-    chain.verify_cached(receiver, &keys, Some(&warm)).unwrap();
+    let mut fill = warm.at(SimTime::ZERO);
+    chain.verify_cached(receiver, &keys, Some(&mut fill)).unwrap();
+    let mut lookups = warm.at(SimTime(1));
     let t_warm = median_secs(11, || {
-        chain.verify_cached(receiver, &keys, Some(&warm)).unwrap();
+        chain.verify_cached(receiver, &keys, Some(&mut lookups)).unwrap();
     });
     writeln!(
         out,
@@ -771,8 +776,8 @@ pub fn e13_crypto_perf() -> String {
         fmt_time(t_cold),
         fmt_time(t_warm),
         t_cold / t_warm,
-        warm.hits(),
-        warm.calls()
+        lookups.hits,
+        fill.calls + lookups.calls
     )
     .unwrap();
 
@@ -1089,18 +1094,15 @@ const E15_JOURNAL_CAP: usize = 64;
 #[derive(Clone, Debug)]
 pub struct E15Artifacts {
     /// pvr-obs compact-JSON exposition (a JSON array) of the merged
-    /// snapshot. Deterministic and engine-independent modulo the
-    /// `verify_cache_hit*` series.
+    /// snapshot. Deterministic and engine-independent.
     pub metrics_json: String,
     /// The signed-substrate convergence timeline at the largest scale,
-    /// as a JSON array of windows (`verify_cache_hits` is the
-    /// engine-local field).
+    /// as a JSON array of windows.
     pub timeline_json: String,
     /// Prometheus text exposition of the same snapshot.
     pub prometheus: String,
     /// Per-router event journals merged into one JSONL trace.
-    /// Byte-identical across engines: journals record verify *calls*,
-    /// never cache hits.
+    /// Byte-identical across engines.
     pub trace_jsonl: String,
 }
 
@@ -1111,9 +1113,8 @@ pub struct E15Artifacts {
 /// summaries and the largest scale's convergence-timeline tables, runs
 /// the quick attack campaign to populate the per-strategy
 /// detection-latency histograms, and returns the merged artifacts.
-/// Every printed number is sim-time-derived and deterministic; across
-/// shard counts everything is identical except the verify-cache hit
-/// columns/series (the workspace-wide carve-out).
+/// Every printed number is sim-time-derived, deterministic, and
+/// identical at every shard count.
 pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E15Artifacts) {
     use pvr_attack::{Campaign, CampaignConfig};
     use pvr_netsim::SimDuration;
@@ -1136,9 +1137,8 @@ pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E
         .unwrap();
     writeln!(out, "(every timestamp is simulator virtual time, {E15_WINDOW_MS} ms windows; the")
         .unwrap();
-    writeln!(out, " verify-cache hit columns/series are the engine-local carve-out, all other")
-        .unwrap();
-    writeln!(out, " telemetry is identical at every shard count; pvr shares the signed").unwrap();
+    writeln!(out, " verify-cache hit columns/series, like all other").unwrap();
+    writeln!(out, " telemetry, are identical at every shard count; pvr shares the signed").unwrap();
     writeln!(out, " substrate — import-path telemetry is the signed run's)").unwrap();
     writeln!(
         out,
@@ -1156,7 +1156,6 @@ pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E
     let mut base_telemetry: Vec<(usize, pvr_obs::Snapshot, pvr_obs::ConvergenceTimeline)> =
         Vec::new();
     let mut engine_checks: Vec<String> = Vec::new();
-    let hit_series = |name: &str| name.contains("verify_cache_hit");
     for &scale in &scales {
         let params = e14_params(scale);
         let topology = internet_like(params, 14);
@@ -1207,11 +1206,10 @@ pub fn e15_observability(max_scale: usize, shard_counts: &[usize]) -> (String, E
                     } else if let Some((_, base_snap, base_tl)) =
                         base_telemetry.iter().find(|(s, _, _)| *s == scale)
                     {
-                        let same = snap.without(hit_series) == base_snap.without(hit_series)
-                            && timeline.zero_cache_hits() == base_tl.zero_cache_hits();
+                        let same = snap == *base_snap && timeline == *base_tl;
                         engine_checks.push(format!(
                             "scale {scale} signed: shards {shards} telemetry == shards \
-                             {first_shards} (modulo cache-hit carve-out): {same}"
+                             {first_shards}: {same}"
                         ));
                     }
                 }
@@ -1308,8 +1306,7 @@ const E16_DEPLOYMENT_MAX_SCALE: usize = 500;
 
 /// E16's structured results — everything the harness embeds as the
 /// `metrics` object of the `e16` JSON record. Every field is sim-time
-/// derived and identical at every shard count (plain substrate, so not
-/// even the verify-cache carve-out applies); the CI determinism gate
+/// derived and identical at every shard count; the CI determinism gate
 /// diffs the whole object.
 #[derive(Clone, Debug)]
 pub struct E16Metrics {
@@ -1507,8 +1504,7 @@ fn e16_degradation(scale: usize, fault_seed: u64) -> Vec<(u32, usize, f64)> {
 
 /// E16 — churn, fault injection, and graceful degradation. Three
 /// phases, all plain-substrate (route security under churn is E12/E16's
-/// deployment phase; the engines' byte-identity needs no carve-out
-/// here):
+/// deployment phase):
 ///
 /// 1. **Steady-state churn under faults** — `churn_events` continuous
 ///    withdraw/re-announce cycles over a converged `internet_like`

@@ -18,8 +18,13 @@
 //! event strictly before the deadline on both engines — the same
 //! drained-instant condition the PR 9 barrier hook relies on — so the
 //! instant is engine-invariant: serial and sharded runs checkpoint
-//! identical logical states (modulo the documented per-shard
-//! `verify_cache` scope).
+//! identical logical states, and only the META and ENGINE sections
+//! differ between their files.
+//!
+//! A `max_events` stop may land mid-instant, with events still due at
+//! the clock. Verify-cache entries inserted at that instant must stay
+//! invisible until the restored clock advances, so CACHE flags them
+//! (a bit in the verdict byte, see [`crate::sbgp::VerifyCache`]).
 //!
 //! ## File format (`PVRCKPT1`, version 1)
 //!
@@ -32,7 +37,7 @@
 //! | 1   | `META`    | engine kind, shard count, options, topology, origin table |
 //! | 2   | `ENGINE`  | engine `save_state` bytes (clock, calendars, DRBGs) |
 //! | 3   | `ROUTERS` | per-AS dynamic router state (RIBs, timers, counters) |
-//! | 4   | `CACHE`   | verify-cache verdict memo(s)                        |
+//! | 4   | `CACHE`   | verify-cache count (1 signed, 0 plain), then its calls, hits, sorted entries |
 //! | 5   | `STORE`   | COW RIB snapshot history (`pvr-store` dump)         |
 //!
 //! Restore decodes and validates *everything* before constructing the
@@ -63,6 +68,7 @@
 //! forensic bisect binary-searches it for the first poisoned instant.
 
 use crate::decision::Candidate;
+use crate::sbgp::INSERTED_NOW;
 use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, Topology};
 use crate::types::{Asn, Prefix};
 use pvr_crypto::encoding::{Reader, Wire, WireError};
@@ -110,7 +116,9 @@ pub enum CheckpointError {
     /// A payload failed to decode (truncation, bad discriminant).
     Wire(WireError),
     /// A shape violation the wire layer cannot see: router list
-    /// mismatch, non-ascending snapshot times, cache-count drift.
+    /// mismatch, non-ascending snapshot times, a verify-cache count
+    /// other than the mode's (1 signed, 0 plain), cache counters that
+    /// disagree with the routers', a bad verdict byte.
     Corrupt(&'static str),
 }
 
@@ -245,19 +253,22 @@ fn routers_bytes(net: &BgpNetwork) -> Vec<u8> {
     buf
 }
 
-fn caches_bytes(net: &BgpNetwork) -> Vec<u8> {
-    let caches = net.verify_caches();
+fn cache_bytes(net: &BgpNetwork) -> Vec<u8> {
     let mut buf = Vec::new();
-    (caches.len() as u32).encode(&mut buf);
-    for cache in caches {
-        let (entries, calls, hits) = cache.export_state();
-        calls.encode(&mut buf);
-        hits.encode(&mut buf);
+    let cache = net.verify_cache();
+    (cache.is_some() as u32).encode(&mut buf);
+    if let Some(cache) = cache {
+        // Every check through the cache is counted by exactly one
+        // router, so the routers' totals are the cache's calls and hits.
+        let totals = net.router_totals();
+        totals.verify_calls.encode(&mut buf);
+        totals.verify_cache_hits.encode(&mut buf);
+        let entries = cache.export_state(net.sim.now(), net.sim.pending_at_now());
         (entries.len() as u32).encode(&mut buf);
         for (signer, digest, verdict) in entries {
             signer.encode(&mut buf);
             buf.extend_from_slice(&digest);
-            verdict.encode(&mut buf);
+            buf.push(verdict);
         }
     }
     buf
@@ -291,7 +302,7 @@ fn checkpoint_bytes(net: &mut BgpNetwork) -> Result<Vec<u8>, CheckpointError> {
     let engine = net.sim.save_state()?;
     let meta = meta_bytes(net)?;
     let routers = routers_bytes(net);
-    let caches = caches_bytes(net);
+    let cache = cache_bytes(net);
     let store = store_bytes(net);
 
     let mut out = Vec::new();
@@ -299,7 +310,7 @@ fn checkpoint_bytes(net: &mut BgpNetwork) -> Result<Vec<u8>, CheckpointError> {
     write_section(SEC_META, &meta, &mut out);
     write_section(SEC_ENGINE, &engine, &mut out);
     write_section(SEC_ROUTERS, &routers, &mut out);
-    write_section(SEC_CACHE, &caches, &mut out);
+    write_section(SEC_CACHE, &cache, &mut out);
     write_section(SEC_STORE, &store, &mut out);
     Ok(out)
 }
@@ -367,7 +378,7 @@ fn restore_bytes(bytes: &[u8]) -> Result<BgpNetwork, CheckpointError> {
     }
     let engine = require_section(&sections, SEC_ENGINE)?;
     let routers = require_section(&sections, SEC_ROUTERS)?;
-    let caches = require_section(&sections, SEC_CACHE)?;
+    let cache = require_section(&sections, SEC_CACHE)?;
     let store = require_section(&sections, SEC_STORE)?;
 
     // Decode the store dump up front (pure validation, no network).
@@ -405,24 +416,28 @@ fn restore_bytes(bytes: &[u8]) -> Result<BgpNetwork, CheckpointError> {
         return Err(CheckpointError::Wire(WireError::TrailingBytes(r.remaining())));
     }
 
-    // Verify caches: count is a property of the engine shape, so it
-    // must agree with what instantiation produced.
-    let targets = net.verify_caches();
-    let mut r = Reader::new(caches);
-    let count = u32::decode(&mut r)? as usize;
-    if count != targets.len() {
-        return Err(CheckpointError::Corrupt("verify-cache count does not match the engine"));
+    // The verify cache: exactly one in signed mode, none in plain.
+    let mut r = Reader::new(cache);
+    if u32::decode(&mut r)? != net.verify_cache().is_some() as u32 {
+        return Err(CheckpointError::Corrupt("verify-cache count does not match the mode"));
     }
-    for cache in targets {
-        let calls = u64::decode(&mut r)?;
-        let hits = u64::decode(&mut r)?;
+    if let Some(target) = net.verify_cache() {
+        let totals = net.router_totals();
+        let counters = (u64::decode(&mut r)?, u64::decode(&mut r)?);
+        if counters != (totals.verify_calls, totals.verify_cache_hits) {
+            return Err(CheckpointError::Corrupt("cache counters disagree with the routers"));
+        }
         let mut entries = Vec::new();
         for _ in 0..u32::decode(&mut r)? {
             let signer = Asn::decode(&mut r)?;
             let digest = r.take_array::<32>()?;
-            entries.push((signer, digest, bool::decode(&mut r)?));
+            let verdict = r.take(1)?[0];
+            if verdict & !(1 | INSERTED_NOW) != 0 {
+                return Err(CheckpointError::Corrupt("verify-cache verdict byte out of range"));
+            }
+            entries.push((signer, digest, verdict));
         }
-        cache.load_state(entries, calls, hits);
+        target.load_state(entries, net.sim.now());
     }
     if r.remaining() != 0 {
         return Err(CheckpointError::Wire(WireError::TrailingBytes(r.remaining())));

@@ -39,8 +39,7 @@
 //! verdicts and stats don't depend on that randomness at all. Verdict
 //! timers are emitted in batch order, nodes ascending. The result:
 //! every counter, timeline window, and verdict below is byte-identical
-//! across engines and shard counts — *no* carve-out, unlike the
-//! verify-cache hit family.
+//! across engines and shard counts.
 
 use crate::types::{Asn, Prefix};
 use pvr_crypto::drbg::HmacDrbg;

@@ -146,19 +146,6 @@ pvr_obs::metric_struct! {
     }
 }
 
-impl RouterStats {
-    /// A copy with the cache-locality-dependent counter cleared.
-    /// `verify_cache_hits` is the one statistic that legitimately
-    /// depends on cache scope (a per-shard cache sees fewer reuse
-    /// opportunities than a network-wide one, so sharded hits ≤ serial
-    /// hits); every other counter — including `verify_calls` — must be
-    /// identical between the serial and sharded engines, which the
-    /// determinism tests assert on this projection.
-    pub fn shard_invariant(&self) -> RouterStats {
-        RouterStats { verify_cache_hits: 0, ..self.clone() }
-    }
-}
-
 /// Hooks that turn a router into a malicious agent. Used by the
 /// `pvr-attack` campaign engine; every flag defaults to honest
 /// behaviour.
@@ -345,10 +332,8 @@ impl BgpRouter {
         self.journal.record(t, "best_change", 1);
     }
 
-    /// Records attestation-verification traffic at `now`. The journal
-    /// keeps only the engine-invariant call count: cache hits depend on
-    /// cache scope (see [`RouterStats::shard_invariant`]), and leaving
-    /// them out keeps the JSONL trace byte-identical across engines.
+    /// Records attestation-verification traffic at `now`: calls and
+    /// hits on the timeline, the call count in the journal.
     fn observe_verify(&mut self, now: SimTime, calls: u64, hits: u64) {
         let t = now.as_micros();
         if let Some(tl) = &mut self.obs_timeline {
@@ -669,22 +654,12 @@ impl BgpRouter {
     fn process_announce(&mut self, from: Asn, sr: SignedRoute, now: SimTime) -> Option<Prefix> {
         // Attestation check first (signed mode only).
         if let SecurityMode::Signed { keys, .. } = &self.security {
-            let cache = self.verify_cache.as_deref();
-            let before = cache.map(|c| (c.calls(), c.hits()));
-            let verdict = sr.verify_cached(self.asn, keys, cache);
-            if let (Some(cache), Some((calls, hits))) = (cache, before) {
-                // Only one thread ever dispatches into a given cache's
-                // routers (the whole network serially, or one shard of
-                // it under the sharded engine's per-shard caches), so
-                // the deltas are exactly this router's share of the
-                // shared counters — no cross-shard double-counting.
-                let delta_calls = cache.calls() - calls;
-                let delta_hits = cache.hits() - hits;
-                self.stats.verify_calls += delta_calls;
-                self.stats.verify_cache_hits += delta_hits;
-                if delta_calls > 0 {
-                    self.observe_verify(now, delta_calls, delta_hits);
-                }
+            let mut lookup = self.verify_cache.as_deref().map(|cache| cache.at(now));
+            let verdict = sr.verify_cached(self.asn, keys, lookup.as_mut());
+            if let Some(used) = lookup.filter(|used| used.calls > 0) {
+                self.stats.verify_calls += used.calls;
+                self.stats.verify_cache_hits += used.hits;
+                self.observe_verify(now, used.calls, used.hits);
             }
             if verdict.is_err() {
                 self.stats.attestation_failures += 1;

@@ -23,9 +23,9 @@ use pvr_crypto::encoding::{decode_seq, Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_crypto::rsa::RsaSignature;
 use pvr_crypto::sha256::sha256_concat;
+use pvr_netsim::SimTime;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One hop's signature over (prefix, path-so-far, intended receiver).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -237,8 +237,8 @@ impl std::fmt::Debug for AttestationChain {
 /// `sbgp` re-verifies the *entire* chain at every import hop, so a
 /// route that crosses `h` ASes costs `O(h²)` RSA verifies network-wide
 /// — and every prefix-suffix attestation past the first hop is one
-/// some router already checked. One cache shared per shard of a
-/// [`crate::BgpNetwork`] collapses that: the verdict for an
+/// some router already checked. One cache per [`crate::BgpNetwork`],
+/// at every shard count, collapses that: the verdict for an
 /// attestation depends only on the signer, the signed payload, and
 /// the signature bytes, all captured in the cache key.
 ///
@@ -249,18 +249,46 @@ impl std::fmt::Debug for AttestationChain {
 /// genuine chain's cached `true` launder the forgery (pinned by the
 /// cache regression tests in `tests/detection_matrix.rs`).
 ///
-/// A cache memo exported for checkpointing: sorted
-/// `(signer, digest, verdict)` entries plus the call/hit counters.
-pub(crate) type CacheState = (Vec<(Asn, [u8; 32], bool)>, u64, u64);
-
-/// Interior mutability is a `Mutex` so the cache can be shared
-/// read-only across router agents; a simulation is single-threaded,
-/// so the lock is never contended.
+/// **Visibility is defined in sim time.** An entry inserted at instant
+/// `T` answers lookups only at instants strictly after `T`; a lookup
+/// at `T` that finds an entry also inserted at `T` is a miss and
+/// re-runs RSA (the verdict cannot differ). Every engine dispatches an
+/// instant's events only after all earlier instants have drained, so
+/// a lookup at `T` sees exactly the inserts of events before `T`,
+/// whatever the shard count or thread schedule: hit counts are a
+/// function of the event set alone.
 #[derive(Debug, Default)]
 pub struct VerifyCache {
-    verdicts: Mutex<HashMap<(Asn, [u8; 32]), bool>>,
-    calls: AtomicU64,
-    hits: AtomicU64,
+    /// Verdict and insert instant per key. Worker threads of the
+    /// sharded engine share the lock; what a lookup may *use* never
+    /// depends on who took it first.
+    verdicts: Mutex<HashMap<CacheKey, (bool, SimTime)>>,
+}
+
+/// `(signer, sha256(signed_bytes ‖ signature))`.
+type CacheKey = (Asn, [u8; 32]);
+
+/// A cache memo exported for checkpointing: `(signer, digest, verdict
+/// byte)` entries. The verdict byte is 0 or 1, plus [`INSERTED_NOW`].
+pub(crate) type CacheEntries = Vec<(Asn, [u8; 32], u8)>;
+
+/// Verdict-byte flag: the entry was inserted at the checkpoint instant
+/// while events were still due there, so it must stay invisible until
+/// the restored clock advances. Never set on deadline or quiescent
+/// stops, which drain their last instant.
+pub(crate) const INSERTED_NOW: u8 = 0b10;
+
+/// A [`VerifyCache`] consulted at one sim instant. Counts the
+/// signature checks made through it and how many the memo answered;
+/// routers sum these into their `verify_calls`/`verify_cache_hits`.
+#[derive(Debug)]
+pub struct CacheLookup<'a> {
+    cache: &'a VerifyCache,
+    now: SimTime,
+    /// Signature checks requested.
+    pub calls: u64,
+    /// Checks answered from the memo without RSA.
+    pub hits: u64,
 }
 
 impl VerifyCache {
@@ -269,60 +297,77 @@ impl VerifyCache {
         VerifyCache::default()
     }
 
-    /// Total attestation-signature checks requested through the cache.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+    /// The verdict map. Only a panic while holding the lock, a bug,
+    /// can poison it.
+    fn memo(&self) -> MutexGuard<'_, HashMap<CacheKey, (bool, SimTime)>> {
+        self.verdicts.lock().expect("verify cache poisoned by a panic")
     }
 
-    /// How many of those were answered from the memo (no RSA math).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// Consults the cache at sim instant `now`.
+    pub fn at(&self, now: SimTime) -> CacheLookup<'_> {
+        CacheLookup { cache: self, now, calls: 0, hits: 0 }
     }
 
-    /// Exports the memo for checkpointing: `(entries, calls, hits)`
-    /// with entries in `(signer, digest)` order, so the same cache
-    /// state always serializes to the same bytes.
-    pub(crate) fn export_state(&self) -> CacheState {
-        let mut entries: Vec<(Asn, [u8; 32], bool)> = self
-            .verdicts
-            .lock()
-            .unwrap()
+    /// Exports the memo for checkpointing at instant `now`, in
+    /// `(signer, digest)` order so the same cache state always
+    /// serializes to the same bytes. `pending_at_now` says whether the
+    /// engine still holds events at `now`; only then are entries
+    /// inserted at `now` flagged [`INSERTED_NOW`].
+    pub(crate) fn export_state(&self, now: SimTime, pending_at_now: bool) -> CacheEntries {
+        let mut entries: CacheEntries = self
+            .memo()
             .iter()
-            .map(|(&(signer, digest), &verdict)| (signer, digest, verdict))
+            .map(|(&(signer, digest), &(verdict, at))| {
+                let flag = if pending_at_now && at == now { INSERTED_NOW } else { 0 };
+                (signer, digest, verdict as u8 | flag)
+            })
             .collect();
         entries.sort_unstable_by_key(|&(signer, digest, _)| (signer, digest));
-        (entries, self.calls(), self.hits())
+        entries
     }
 
-    /// Replaces the memo with a checkpointed state. Restore only: the
-    /// cache is shared by `Arc`, so this goes through the interior
-    /// mutability the hot path already uses.
-    pub(crate) fn load_state(&self, entries: Vec<(Asn, [u8; 32], bool)>, calls: u64, hits: u64) {
-        let mut verdicts = self.verdicts.lock().unwrap();
-        verdicts.clear();
-        for (signer, digest, verdict) in entries {
-            verdicts.insert((signer, digest), verdict);
-        }
-        drop(verdicts);
-        self.calls.store(calls, Ordering::Relaxed);
-        self.hits.store(hits, Ordering::Relaxed);
+    /// Replaces the memo with a checkpointed one, restored at `now`.
+    /// Flagged entries come back inserted at `now`. The rest come back
+    /// at instant zero: each was inserted before `now`, or at a `now`
+    /// with nothing left to run there, so every later lookup is at an
+    /// instant after zero.
+    pub(crate) fn load_state(&self, entries: CacheEntries, now: SimTime) {
+        *self.memo() = entries
+            .into_iter()
+            .map(|(signer, digest, byte)| {
+                let at = if byte & INSERTED_NOW != 0 { now } else { SimTime::ZERO };
+                ((signer, digest), (byte & 1 == 1, at))
+            })
+            .collect();
     }
+}
 
+impl CacheLookup<'_> {
     /// Checks `signer`'s signature over `signed_bytes`, consulting the
-    /// memo first. The verdict (valid or not) is cached either way —
-    /// a forged chain replayed at every hop would otherwise cost the
-    /// full RSA verify each time it is rejected.
-    fn check(&self, signer: Asn, signed_bytes: &[u8], sig: &RsaSignature, keys: &KeyStore) -> bool {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+    /// memo first, and counts the check (and a hit). The verdict (valid
+    /// or not) is cached either way — a forged chain replayed at every
+    /// hop would otherwise cost the full RSA verify each time it is
+    /// rejected.
+    fn check(
+        &mut self,
+        signer: Asn,
+        signed_bytes: &[u8],
+        sig: &RsaSignature,
+        keys: &KeyStore,
+    ) -> bool {
+        self.calls += 1;
         let digest = sha256_concat(&[signed_bytes, &sig.0]);
         let mut key = [0u8; 32];
         key.copy_from_slice(digest.as_bytes());
-        if let Some(&verdict) = self.verdicts.lock().unwrap().get(&(signer, key)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let entry = self.cache.memo().get(&(signer, key)).copied();
+        if let Some((verdict, _)) = entry.filter(|&(_, inserted)| inserted < self.now) {
+            self.hits += 1;
             return verdict;
         }
         let verdict = keys.verify(signer.principal(), signed_bytes, sig).is_ok();
-        self.verdicts.lock().unwrap().insert((signer, key), verdict);
+        // A same-instant entry keeps its instant: inserting again at
+        // `now` would not change it.
+        self.cache.memo().entry((signer, key)).or_insert((verdict, self.now));
         verdict
     }
 }
@@ -410,14 +455,14 @@ impl SignedRoute {
         self.verify_cached(receiver, keys, None)
     }
 
-    /// [`SignedRoute::verify`] with an optional network-wide
-    /// [`VerifyCache`]: verdicts are identical with or without the
-    /// cache, only the number of RSA operations differs.
+    /// [`SignedRoute::verify`] through an optional [`VerifyCache`]
+    /// lookup: verdicts are identical with or without the cache, only
+    /// the number of RSA operations differs.
     pub fn verify_cached(
         &self,
         receiver: Asn,
         keys: &KeyStore,
-        cache: Option<&VerifyCache>,
+        mut cache: Option<&mut CacheLookup<'_>>,
     ) -> Result<(), SbgpError> {
         let path = self.route.path.asns();
         if path.is_empty() {
@@ -458,7 +503,7 @@ impl SignedRoute {
                 att.target,
                 att.signer,
             );
-            let ok = match cache {
+            let ok = match cache.as_deref_mut() {
                 Some(cache) => cache.check(att.signer, &buf, &att.signature, keys),
                 None => keys.verify(att.signer.principal(), &buf, &att.signature).is_ok(),
             };
@@ -717,45 +762,74 @@ mod tests {
         assert!(back.verify(Asn(3), &keys).is_ok());
     }
 
+    /// `(verdict, calls, hits)` of one cached verify at instant `now`.
+    fn verify_at(
+        sr: &SignedRoute,
+        keys: &KeyStore,
+        cache: &VerifyCache,
+        now: u64,
+    ) -> (Result<(), SbgpError>, u64, u64) {
+        let mut lookup = cache.at(SimTime(now));
+        let verdict = sr.verify_cached(Asn(3), keys, Some(&mut lookup));
+        (verdict, lookup.calls, lookup.hits)
+    }
+
     #[test]
     fn cached_verify_matches_uncached() {
         let (ids, keys) = setup();
         let sr = two_hop_chain(&ids);
         let cache = VerifyCache::new();
-        assert_eq!(sr.verify(Asn(3), &keys), sr.verify_cached(Asn(3), &keys, Some(&cache)));
-        assert_eq!(cache.calls(), 2);
-        assert_eq!(cache.hits(), 0);
-        // Second pass: every signature check answered from the memo.
-        assert!(sr.verify_cached(Asn(3), &keys, Some(&cache)).is_ok());
-        assert_eq!(cache.calls(), 4);
-        assert_eq!(cache.hits(), 2);
+        assert_eq!(verify_at(&sr, &keys, &cache, 1), (sr.verify(Asn(3), &keys), 2, 0));
+        // A later pass: every signature check answered from the memo.
+        assert_eq!(verify_at(&sr, &keys, &cache, 2), (Ok(()), 2, 2));
+    }
+
+    #[test]
+    fn lookup_at_the_insert_instant_misses_with_the_same_verdict() {
+        let (ids, keys) = setup();
+        let sr = two_hop_chain(&ids);
+        let cache = VerifyCache::new();
+        assert_eq!(verify_at(&sr, &keys, &cache, 7), (Ok(()), 2, 0));
+        assert_eq!(verify_at(&sr, &keys, &cache, 7), (Ok(()), 2, 0));
+        // The same holds for a rejected chain.
+        let mut atts = sr.chain().to_vec();
+        atts[1].signature.0[3] ^= 1;
+        let bad =
+            SignedRoute::with_chain(sr.route.clone(), AttestationChain::from_attestations(atts));
+        let rejected = (Err(SbgpError::BadSignature(Asn(2))), 2, 1);
+        assert_eq!(verify_at(&bad, &keys, &cache, 9), rejected);
+        assert_eq!(verify_at(&bad, &keys, &cache, 9), rejected);
+    }
+
+    #[test]
+    fn lookup_at_any_later_instant_hits() {
+        let (ids, keys) = setup();
+        let sr = two_hop_chain(&ids);
+        let cache = VerifyCache::new();
+        assert_eq!(verify_at(&sr, &keys, &cache, 7), (Ok(()), 2, 0));
+        for later in [8, 9, 1_000_000] {
+            assert_eq!(verify_at(&sr, &keys, &cache, later), (Ok(()), 2, 2), "at {later}");
+        }
     }
 
     #[test]
     fn cache_does_not_launder_forged_signatures() {
         // Same signed bytes, different signature: the genuine chain's
         // cached `true` must not validate the forgery (the cache key
-        // covers the signature, not just the payload).
+        // covers the signature, not just the payload) — even at an
+        // instant where the genuine entry is visible.
         let (ids, keys) = setup();
         let sr = two_hop_chain(&ids);
         let cache = VerifyCache::new();
-        assert!(sr.verify_cached(Asn(3), &keys, Some(&cache)).is_ok());
+        assert!(verify_at(&sr, &keys, &cache, 1).0.is_ok());
         let mut atts = sr.chain().to_vec();
         atts[0].signature.0[5] ^= 1;
         let forged =
             SignedRoute::with_chain(sr.route.clone(), AttestationChain::from_attestations(atts));
-        assert_eq!(
-            forged.verify_cached(Asn(3), &keys, Some(&cache)),
-            Err(SbgpError::BadSignature(Asn(1)))
-        );
-        // And the rejection itself is memoized on replay.
-        let calls = cache.calls();
-        assert_eq!(
-            forged.verify_cached(Asn(3), &keys, Some(&cache)),
-            Err(SbgpError::BadSignature(Asn(1)))
-        );
-        assert_eq!(cache.calls(), calls + 1);
-        assert!(cache.hits() >= 1);
+        let rejected = Err(SbgpError::BadSignature(Asn(1)));
+        assert_eq!(verify_at(&forged, &keys, &cache, 2), (rejected.clone(), 1, 0));
+        // And the rejection itself is memoized on a later replay.
+        assert_eq!(verify_at(&forged, &keys, &cache, 3), (rejected, 1, 1));
     }
 
     /// The persistent chain must be observationally identical to the

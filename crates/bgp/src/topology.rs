@@ -297,9 +297,8 @@ impl Topology {
     }
 
     /// Builds `asn`'s router (policy, security mode, MRAI, originations,
-    /// scheduled events) — everything except neighbor wiring and
-    /// verify-cache installation, which depend on node ids and the
-    /// shard assignment.
+    /// scheduled events) — everything except neighbor wiring, which
+    /// depends on node ids, and the network-wide services.
     fn build_router(
         &self,
         asn: Asn,
@@ -363,16 +362,13 @@ impl Topology {
     /// `shards` worker calendars (see [`crate::partition`]). One shard
     /// (or zero) runs the serial engine, more run the sharded engine
     /// (see [`pvr_netsim::Engine`]). Node ids, key material, and all
-    /// deterministic run outputs except verify-cache hit counts are
-    /// identical at every shard count.
+    /// deterministic run outputs are identical at every shard count.
     ///
-    /// Signed mode installs one [`VerifyCache`] *per shard*: a shard's
-    /// routers only ever run on that shard's worker thread, so
-    /// per-router counter attribution stays exact with no cross-shard
-    /// contention. At one shard that is a single network-wide memo, so
-    /// a chain already checked upstream is not re-verified at every
-    /// later hop. The trade is reuse scope: at several shards cache
-    /// hits can only be fewer than at one, never different verdicts.
+    /// Signed mode installs one network-wide [`VerifyCache`], so a
+    /// chain already checked upstream is not re-verified at every
+    /// later hop. Its entries become visible at the next sim instant,
+    /// which makes cache hits — like every other output — independent
+    /// of the shard count.
     pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
         let shards = shards.max(1);
         let mut sim: Engine<BgpUpdate> = Engine::new(options.seed, shards);
@@ -387,17 +383,12 @@ impl Topology {
         }
 
         let keystore = self.generate_identities(options);
-        let verify_caches: Vec<Arc<VerifyCache>> = if keystore.is_some() {
-            (0..shards).map(|_| Arc::new(VerifyCache::new())).collect()
-        } else {
-            Vec::new()
-        };
+        let verify_cache = keystore.as_ref().map(|_| Arc::new(VerifyCache::new()));
 
-        // Unlike the verify cache, the private verifier stays
-        // network-wide at every shard count: its flush sorts requests
-        // by the engine-invariant `(asn, seq)` key, so one shared
-        // service produces byte-identical outputs at any shard count
-        // (no per-shard carve-out needed).
+        // Like the verify cache, the private verifier is network-wide
+        // at every shard count: its flush sorts requests by the
+        // engine-invariant `(asn, seq)` key, so one shared service
+        // produces byte-identical outputs at any shard count.
         let private_verifier = new_private_verifier(options);
 
         // First pass: create routers so node ids are known.
@@ -405,14 +396,13 @@ impl Topology {
         let mut node_of = BTreeMap::new();
         for &asn in &self.ases {
             let mut router = self.build_router(asn, &keystore, options);
-            let shard = assignment[&asn];
-            if let Some(cache) = verify_caches.get(shard) {
+            if let Some(cache) = &verify_cache {
                 router.set_verify_cache(Arc::clone(cache));
             }
             if let Some(verifier) = &private_verifier {
                 router.set_private_verifier(Arc::clone(verifier));
             }
-            let node = sim.add_node(Box::new(router), shard);
+            let node = sim.add_node(Box::new(router), assignment[&asn]);
             node_of.insert(asn, node);
         }
 
@@ -435,7 +425,7 @@ impl Topology {
             sim,
             node_of,
             keystore: keystore.map(|(ks, _)| ks),
-            verify_caches,
+            verify_cache,
             private_verifier,
             topology: self.clone(),
             options,
@@ -714,7 +704,7 @@ pub struct BgpNetwork {
     pub sim: Engine<BgpUpdate>,
     node_of: BTreeMap<Asn, NodeId>,
     keystore: Option<Arc<KeyStore>>,
-    verify_caches: Vec<Arc<VerifyCache>>,
+    verify_cache: Option<Arc<VerifyCache>>,
     private_verifier: Option<Arc<PrivateVerifier>>,
     /// The declaration this network was instantiated from; embedded in
     /// checkpoints so restore is self-contained.
@@ -756,11 +746,10 @@ impl BgpNetwork {
         self.keystore.as_ref()
     }
 
-    /// The per-shard attestation-verification caches in signed mode
-    /// (empty in plain mode), indexed by shard: one network-wide cache
-    /// at one shard.
-    pub fn verify_caches(&self) -> &[Arc<VerifyCache>] {
-        &self.verify_caches
+    /// The network-wide attestation-verification cache in signed mode
+    /// (`None` in plain mode).
+    pub fn verify_cache(&self) -> Option<&Arc<VerifyCache>> {
+        self.verify_cache.as_ref()
     }
 
     /// The network-wide private-verification service when the network
@@ -817,8 +806,7 @@ impl BgpNetwork {
     /// router series is a counter and counters merge by addition, so
     /// this equals folding each shard's routers into a registry of its
     /// own and merging those: the snapshot is identical at every shard
-    /// count except for series derived from `verify_cache_hits` (the
-    /// per-shard cache carve-out, see [`RouterStats::shard_invariant`]).
+    /// count.
     pub fn metrics_snapshot(&self, security_mode: &str) -> pvr_obs::Snapshot {
         let labels: pvr_obs::LabelSet = vec![("security_mode", security_mode.to_string())];
         let mut registry = pvr_obs::MetricsRegistry::new();
@@ -843,8 +831,7 @@ impl BgpNetwork {
     /// Assembles the per-window convergence timeline from the engine
     /// and router recorders. `None` unless the network was
     /// instantiated with [`InstantiateOptions::timeline_window`] set.
-    /// Identical at every shard count except for the
-    /// `verify_cache_hits` channel.
+    /// Identical at every shard count.
     pub fn convergence_timeline(&self) -> Option<pvr_obs::ConvergenceTimeline> {
         let sim_tl = self.sim.timeline()?;
         let mut routers =
@@ -860,7 +847,7 @@ impl BgpNetwork {
     /// Per-router event journals merged into one time-ordered JSONL
     /// trace; empty unless the network was instantiated with a nonzero
     /// [`InstantiateOptions::journal_capacity`]. Byte-identical at every
-    /// shard count (journals record verify *calls*, never cache hits).
+    /// shard count.
     pub fn trace_jsonl(&self) -> String {
         merge_trace_jsonl(self.ases().map(|asn| (asn, self.router(asn))))
     }

@@ -121,6 +121,11 @@ impl<P: Payload + Send> Engine<P> {
         each!(self, sim => sim.now())
     }
 
+    /// True when an event or fault is still due at the current instant.
+    pub fn pending_at_now(&self) -> bool {
+        each!(self, sim => sim.pending_at_now())
+    }
+
     /// Injects a message from `src` to `dst` over the configured link.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, msg: P) {
         each!(self, sim => sim.inject(src, dst, msg))

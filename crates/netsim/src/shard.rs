@@ -345,6 +345,14 @@ impl<P: Payload + Send> ShardedSimulator<P> {
         self.now
     }
 
+    /// True when an event or fault is still due at [`now`](Self::now)
+    /// (a `max_events` stop between same-instant cascades, or after a
+    /// fault-only step).
+    pub fn pending_at_now(&self) -> bool {
+        self.shards.iter().any(|s| s.queue.peek_time() == Some(self.now))
+            || self.next_fault_time() == Some(self.now)
+    }
+
     /// Injects a message from outside the simulation; delivered after
     /// link latency, exactly like the serial engine's `inject`.
     pub fn inject(&mut self, src: NodeId, dst: NodeId, msg: P) {
@@ -1019,9 +1027,9 @@ mod tests {
 
     #[test]
     fn timeline_matches_serial_byte_for_byte() {
-        // Sim channels (events, deliveries, queue-depth samples) carry
-        // no cache carve-out: the recorders must be *equal*, including
-        // under jitter and zero-latency cascades.
+        // Sim channels (events, deliveries, queue-depth samples): the
+        // recorders must be *equal*, including under jitter and
+        // zero-latency cascades.
         for link in [
             LinkConfig::default(),
             LinkConfig::with_latency(SimDuration::ZERO),

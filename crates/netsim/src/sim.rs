@@ -425,6 +425,12 @@ impl<P: Payload> Simulator<P> {
         self.now
     }
 
+    /// True when an event or fault is still due at [`now`](Self::now):
+    /// a `max_events` stop can leave the current instant half-drained.
+    pub fn pending_at_now(&self) -> bool {
+        self.queue.peek_time() == Some(self.now) || self.next_fault_time() == Some(self.now)
+    }
+
     /// Injects a message from outside the simulation (e.g. a test
     /// harness kicking off a round, or an attack campaign forging
     /// announcements); delivered after link latency.

@@ -14,11 +14,9 @@
 //! Under that rule, two runs of the same workload — serial or sharded,
 //! one thread or sixteen — produce byte-identical telemetry, so the
 //! observability layer inherits the engine's determinism contract
-//! instead of eroding it. The one documented exception is the
-//! verify-cache hit family (`*verify_cache_hit*`): per-shard caches
-//! legitimately see fewer hits than the serial engine's network-wide
-//! cache, so those series are excluded from cross-engine comparisons
-//! (see [`Snapshot::without`]).
+//! instead of eroding it, with no exceptions: even verify-cache hits
+//! are a function of the event set, because cache entries become
+//! visible only at the sim instant after their insert.
 //!
 //! The pieces:
 //!
@@ -61,10 +59,8 @@ pub use timeline::{ConvergenceTimeline, TimelineRecorder, TimelineWindow};
 /// `export_metrics`, which registers every field as a
 /// `<prefix>_<field>_total` counter in a [`MetricsRegistry`].
 ///
-/// Struct-specific projections (e.g. `RouterStats::shard_invariant`,
-/// the verify-cache carve-out) stay handwritten next to the macro
-/// invocation — the macro guarantees field parity between the struct
-/// and the registry, not policy.
+/// The macro guarantees field parity between the struct and the
+/// registry, not policy.
 #[macro_export]
 macro_rules! metric_struct {
     (

@@ -213,13 +213,6 @@ impl Snapshot {
         self.canonicalize();
     }
 
-    /// A copy without the series whose *name* matches `pred`. Used by
-    /// the determinism tests to drop the documented verify-cache-hit
-    /// carve-out before comparing serial and sharded snapshots.
-    pub fn without(&self, pred: impl Fn(&str) -> bool) -> Snapshot {
-        Snapshot { series: self.series.iter().filter(|s| !pred(&s.name)).cloned().collect() }
-    }
-
     /// Convenience for tests: the value of the unique counter `name`
     /// (any labels), summed across label sets.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
@@ -303,17 +296,5 @@ mod tests {
         let mut folded_rev = s1.snapshot();
         folded_rev.merge(&s0.snapshot());
         assert_eq!(folded_rev, serial.snapshot());
-    }
-
-    #[test]
-    fn without_drops_the_carve_out() {
-        let mut r = MetricsRegistry::new();
-        let a = r.counter("pvr_router_verify_cache_hits_total", &labels("signed"));
-        let b = r.counter("pvr_router_verify_calls_total", &labels("signed"));
-        r.inc(a, 1);
-        r.inc(b, 2);
-        let snap = r.snapshot().without(|n| n.contains("verify_cache_hit"));
-        assert_eq!(snap.counter_value("pvr_router_verify_cache_hits_total"), None);
-        assert_eq!(snap.counter_value("pvr_router_verify_calls_total"), Some(2));
     }
 }

@@ -15,9 +15,8 @@
 //! per-router recorders fold to exactly the serial engine's view. The
 //! merged channels are then assembled into a [`ConvergenceTimeline`] —
 //! the operator-facing table of events/sec, queue depth, RIB churn and
-//! verify-cache traffic per window. As everywhere in the workspace,
-//! `verify_cache_hits` is the one engine-dependent column; comparisons
-//! across engines go through [`ConvergenceTimeline::zero_cache_hits`].
+//! verify-cache traffic per window. Every column, cache hits
+//! included, is identical at every shard count.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -36,7 +35,6 @@ pub const RT_RIB_CHURN: usize = 0;
 /// Router channel: attestation verifications requested (counted).
 pub const RT_VERIFY_CALLS: usize = 1;
 /// Router channel: verifications answered by the cache (counted).
-/// Engine-dependent — see the carve-out in the module docs.
 pub const RT_VERIFY_HITS: usize = 2;
 /// Router channel: withdraws flooded to neighbors (counted) — the
 /// churn channel: fault-driven teardowns and workload withdrawals both
@@ -171,8 +169,7 @@ pub struct TimelineWindow {
     pub rib_churn: u64,
     /// Attestation verifications requested.
     pub verify_calls: u64,
-    /// Verifications served from cache (engine-dependent; excluded
-    /// from cross-engine comparisons).
+    /// Verifications served from cache.
     pub verify_cache_hits: u64,
     /// Withdraws flooded to neighbors across all routers.
     pub withdraws: u64,
@@ -221,26 +218,13 @@ impl ConvergenceTimeline {
         ConvergenceTimeline { window_us: sim.window_us, windows: by_start.into_values().collect() }
     }
 
-    /// The carve-out projection: a copy with `verify_cache_hits`
-    /// zeroed in every window, suitable for byte-identity assertions
-    /// between the serial and sharded engines.
-    pub fn zero_cache_hits(&self) -> ConvergenceTimeline {
-        let mut t = self.clone();
-        for w in &mut t.windows {
-            w.verify_cache_hits = 0;
-        }
-        t
-    }
-
     /// Events per *sim-time* second in `w` — a deterministic rate,
     /// unlike wall-clock events/sec.
     pub fn events_per_sim_sec(&self, w: &TimelineWindow) -> u64 {
         w.events * 1_000_000 / self.window_us
     }
 
-    /// Renders the timeline as a fixed-width table. The `hit%` column
-    /// derives from the carve-out channel and is the only column that
-    /// may differ between engines.
+    /// Renders the timeline as a fixed-width table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         writeln!(
@@ -280,8 +264,7 @@ impl ConvergenceTimeline {
 
     /// Compact JSON array of the windows, for the harness's
     /// `pvr-bench-v1` metrics section. All fields are sim-time-derived
-    /// and deterministic except `verify_cache_hits` (the carve-out,
-    /// stripped by `ci/normalize_e14.py`).
+    /// and deterministic.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, w) in self.windows.iter().enumerate() {
@@ -357,7 +340,7 @@ mod tests {
         assert_eq!(t.windows[0].queue_depth, 2);
         assert_eq!(t.windows[0].rib_churn, 1);
         assert_eq!(t.windows[1].verify_calls, 2);
-        assert_eq!(t.zero_cache_hits().windows[1].verify_cache_hits, 0);
+        assert_eq!(t.windows[1].verify_cache_hits, 1);
         assert_eq!(t.events_per_sim_sec(&t.windows[0]), 4000);
         // Table and JSON render without panicking and mention the data.
         assert!(t.render_table().contains("rib-churn"));

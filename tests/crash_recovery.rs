@@ -16,8 +16,8 @@ use pvr::bgp::{
 use pvr::crypto::drbg::HmacDrbg;
 use pvr::crypto::encoding::Wire;
 use pvr::crypto::sha256::sha256;
-use pvr::netsim::{Fault, FaultPlan, RunLimits, SimDuration, SimTime, StopReason};
-use pvr::store::{read_container, write_header, write_section};
+use pvr::netsim::{Fault, FaultPlan, LinkConfig, RunLimits, SimDuration, SimTime, StopReason};
+use pvr::store::{framing, read_container, write_header, write_section};
 use std::path::PathBuf;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -354,30 +354,40 @@ fn version_bump_is_rejected() {
     assert!(!matches!(err, CheckpointError::Io(_)), "got {err:?}");
 }
 
-/// META's section tag and engine-kind bytes (see the format table in
+/// Section tags and META's engine-kind bytes (see the format table in
 /// `pvr_bgp::checkpoint`).
 const SEC_META: u8 = 1;
+const SEC_ROUTERS: u8 = 3;
+const SEC_CACHE: u8 = 4;
+const SEC_STORE: u8 = 5;
 const KIND_SERIAL: u8 = 0;
 const KIND_SHARDED: u8 = 1;
 
-/// Rewrites META's engine-kind byte and shard count, re-framing every
+/// Rewrites section `tag`'s payload with `edit`, re-framing every
 /// section with valid digests so that only restore's own consistency
-/// check can object.
-fn reframe_meta(bytes: &[u8], kind: u8, shards: u64) -> Vec<u8> {
+/// checks can object.
+fn reframe(bytes: &[u8], tag: u8, mut edit: impl FnMut(&mut Vec<u8>)) -> Vec<u8> {
     let sections = read_container(bytes, &CKPT_MAGIC, CKPT_VERSION).expect("well-formed file");
     let mut out = Vec::new();
     write_header(&CKPT_MAGIC, CKPT_VERSION, &mut out);
     for section in sections {
         let mut payload = section.payload;
-        if section.tag == SEC_META {
-            let mut count = Vec::new();
-            shards.encode(&mut count);
-            payload[0] = kind;
-            payload[1..1 + count.len()].copy_from_slice(&count);
+        if section.tag == tag {
+            edit(&mut payload);
         }
         write_section(section.tag, &payload, &mut out);
     }
     out
+}
+
+/// Rewrites META's engine-kind byte and shard count.
+fn reframe_meta(bytes: &[u8], kind: u8, shards: u64) -> Vec<u8> {
+    reframe(bytes, SEC_META, |payload| {
+        let mut count = Vec::new();
+        shards.encode(&mut count);
+        payload[0] = kind;
+        payload[1..1 + count.len()].copy_from_slice(&count);
+    })
 }
 
 /// A checkpoint of a small plain network at `shards` shards, mid-run.
@@ -455,8 +465,9 @@ const PINNED_KILL_AT: SimTime = SimTime(35_000);
 /// SHA-256 of the pinned checkpoint at one shard (the serial engine),
 /// 954 465 bytes.
 const PINNED_SHA256_S1: &str = "36e746ed9715a4fb079b252f00fefab4171e564733662bae8189d8ff280d8cd8";
-/// SHA-256 of the pinned checkpoint at two shards, 957 649 bytes.
-const PINNED_SHA256_S2: &str = "2d48eec094ca8b986aab53c15586a72f42c7a14222e29ba3f4501f575de546e1";
+/// SHA-256 of the pinned checkpoint at two shards, 955 409 bytes. Its
+/// ROUTERS, CACHE and STORE sections equal the one-shard file's.
+const PINNED_SHA256_S2: &str = "5a5faafa36ea8b26a75646b33bd08982693524aef485be5e29ffc30d4aae1325";
 
 #[test]
 fn checkpoint_bytes_are_pinned() {
@@ -468,6 +479,161 @@ fn checkpoint_bytes_are_pinned() {
     // `instantiate` is the one-shard network, byte for byte.
     let plain = checkpoint_at(topology.instantiate(options), PINNED_KILL_AT, "pinned-instantiate");
     assert!(plain == one, "instantiate and instantiate_sharded(_, 1) checkpoint differently");
+}
+
+#[test]
+fn checkpoint_state_sections_match_across_shard_counts() {
+    // One network-wide verify cache makes every section but META
+    // (engine kind, shard count) and ENGINE (per-shard calendars)
+    // independent of the shard count — router counters and cache
+    // hits included.
+    let (topology, options) = pinned_network();
+    let files: Vec<Vec<u8>> = [1, 2, 4]
+        .into_iter()
+        .map(|shards| {
+            let net = topology.instantiate_sharded(options, shards);
+            checkpoint_at(net, PINNED_KILL_AT, &format!("sections-s{shards}"))
+        })
+        .collect();
+    let sections = |bytes: &[u8], tag: u8| -> Vec<u8> {
+        let all = framing::read_container(bytes, &CKPT_MAGIC, CKPT_VERSION).expect("well-formed");
+        framing::require_section(&all, tag).expect("section present").to_vec()
+    };
+    for tag in [SEC_ROUTERS, SEC_CACHE, SEC_STORE] {
+        let one = sections(&files[0], tag);
+        for (bytes, shards) in files[1..].iter().zip([2, 4]) {
+            assert!(sections(bytes, tag) == one, "section {tag} differs at {shards} shards");
+        }
+    }
+    // One cache with live hits, not an empty section.
+    let cache = sections(&files[0], SEC_CACHE);
+    assert_eq!(cache[..4], 1u32.to_be_bytes(), "signed mode writes exactly one cache");
+    assert!(u64::from_be_bytes(cache[12..20].try_into().unwrap()) > 0, "no cache hits recorded");
+}
+
+/// Verdict-byte flag for a cache entry inserted at the checkpoint
+/// instant while events were still due there.
+const INSERTED_NOW: u8 = 0b10;
+/// Offset of the first CACHE entry: count u32, calls u64, hits u64,
+/// entry count u32. Each entry is `signer u32 ‖ digest[32] ‖ verdict
+/// u8`.
+const CACHE_ENTRIES_AT: usize = 24;
+const CACHE_ENTRY_LEN: usize = 37;
+
+/// A copy of a checkpoint with every CACHE entry's [`INSERTED_NOW`]
+/// flag cleared: the file a checkpoint would be if same-instant inserts
+/// were restored visible. Also returns whether any flag was set.
+fn strip_inserted_now_flags(bytes: &[u8]) -> (Vec<u8>, bool) {
+    let mut flagged = false;
+    let stripped = reframe(bytes, SEC_CACHE, |payload| {
+        for entry in payload[CACHE_ENTRIES_AT..].chunks_mut(CACHE_ENTRY_LEN) {
+            flagged |= entry[CACHE_ENTRY_LEN - 1] & INSERTED_NOW != 0;
+            entry[CACHE_ENTRY_LEN - 1] &= !INSERTED_NOW;
+        }
+    });
+    (stripped, flagged)
+}
+
+#[test]
+fn malformed_cache_sections_are_typed_errors() {
+    // One cache in signed mode, none in plain: any other count — such
+    // as the two caches a two-shard file once carried — is refused, as
+    // are counters that disagree with the routers' and verdict bytes
+    // with unknown bits. Each case flips bits at one CACHE offset.
+    let signed =
+        InstantiateOptions { seed: 312, signed: true, key_bits: 512, ..Default::default() };
+    let signed = checkpoint_at(small_internet(312).instantiate(signed), SimTime(30_000), "cache-s");
+    let plain = mid_run_checkpoint(312, 1);
+    let verdict_at = CACHE_ENTRIES_AT + CACHE_ENTRY_LEN - 1;
+    let cases = [
+        (&signed, 3, 0b11, "verify-cache count"), // 1 → 2 caches
+        (&signed, 3, 0b01, "verify-cache count"), // 1 → 0 caches
+        (&plain, 3, 0b01, "verify-cache count"),  // 0 → 1 cache
+        (&signed, 11, 0b01, "counters"),          // calls (u64 at 4..12)
+        (&signed, verdict_at, 0x80, "verdict byte"),
+    ];
+    for (i, (bytes, at, mask, expected)) in cases.into_iter().enumerate() {
+        let bad = reframe(bytes, SEC_CACHE, |payload| payload[at] ^= mask);
+        let err = must_fail(restore_mutilated(bad, &format!("cache-{i}")), expected);
+        assert!(
+            matches!(err, CheckpointError::Corrupt(msg) if msg.contains(expected)),
+            "case {i} ({expected}): got {err:?}"
+        );
+    }
+}
+
+#[test]
+fn mid_instant_kill_keeps_same_instant_cache_entries_invisible() {
+    // Zero base latency with 2 µs of jitter: a third of all sends land
+    // at the sending instant, so a receiver re-checks attestations its
+    // sender inserted at that same instant, and the sharded engine too
+    // can stop (by `max_events`, between same-instant cascades) with
+    // events still due at the clock. Entries inserted at that instant
+    // must come back invisible until the clock advances, or the replay
+    // counts hits the never-crashed run did not.
+    let topology = small_internet(311);
+    let options = InstantiateOptions {
+        seed: 311,
+        signed: true,
+        key_bits: 512,
+        link: LinkConfig {
+            latency: SimDuration::ZERO,
+            jitter: SimDuration::from_micros(2),
+            ..LinkConfig::default()
+        },
+        ..Default::default()
+    };
+    let mut serial = topology.instantiate(options);
+    assert_eq!(serial.converge(RunLimits::none()), StopReason::Quiescent);
+    for shards in [1, 2] {
+        let mut baseline = topology.instantiate_sharded(options, shards);
+        assert_eq!(baseline.converge(RunLimits::none()), StopReason::Quiescent);
+        let hits = baseline.router_totals().verify_cache_hits;
+        assert!(hits > 0, "the run must exercise the cache");
+
+        // Stop one event (or one sharded window) into each instant in
+        // turn until the stop is one where the flags matter: restoring
+        // the same file with them cleared replays to a different hit
+        // count.
+        let path = temp_path(&format!("mid-instant-s{shards}"));
+        let mut victim = topology.instantiate_sharded(options, shards);
+        loop {
+            let limit = victim.sim.stats().events + 1;
+            let limits = RunLimits { deadline: None, max_events: Some(limit) };
+            let stop = victim.converge(limits);
+            assert_eq!(stop, StopReason::EventLimit, "{shards} shards: no mid-instant stop found");
+            if !victim.sim.pending_at_now() {
+                continue;
+            }
+            victim.checkpoint(&path).expect("checkpoint");
+            let (stripped, flagged) =
+                strip_inserted_now_flags(&std::fs::read(&path).expect("read checkpoint"));
+            victim.converge(RunLimits::until(victim.sim.now()));
+            if !flagged {
+                continue;
+            }
+            let mut wrong = restore_mutilated(stripped, &format!("mid-instant-stripped-s{shards}"))
+                .expect("a flag-stripped file still restores");
+            assert_eq!(wrong.converge(RunLimits::none()), StopReason::Quiescent);
+            // Visibility changes hit counts, never verdicts.
+            assert_eq!(wrong.rib_fingerprint(), baseline.rib_fingerprint());
+            if wrong.router_totals().verify_cache_hits != hits {
+                break;
+            }
+        }
+        drop(victim);
+
+        let mut recovered = BgpNetwork::restore(&path).expect("restore");
+        assert_eq!(recovered.converge(RunLimits::none()), StopReason::Quiescent);
+        assert_eq!(recovered.rib_fingerprint(), baseline.rib_fingerprint());
+        assert_eq!(recovered.sim.stats(), baseline.sim.stats());
+        for asn in topology.ases() {
+            let stats = recovered.router(asn).stats();
+            assert_eq!(stats, baseline.router(asn).stats(), "{asn} after recovery");
+            assert_eq!(stats, serial.router(asn).stats(), "{asn} at {shards} shards vs serial");
+        }
+        assert_eq!(recovered.metrics_snapshot("signed"), baseline.metrics_snapshot("signed"));
+    }
 }
 
 proptest! {

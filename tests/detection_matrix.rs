@@ -13,6 +13,7 @@
 use pvr::bgp::{demo_chain, AsPath, Asn, Prefix, SbgpError, SignedRoute, VerifyCache};
 use pvr::core::{run_min_round, Figure1Bed, Misbehavior, Verdict};
 use pvr::crypto::KeyStore;
+use pvr::netsim::SimTime;
 
 #[test]
 fn every_misbehavior_variant_is_detected() {
@@ -98,19 +99,23 @@ fn verify_cache_never_changes_verdicts() {
 
     // Warm the shared cache with the genuine chain first, then replay
     // every fixture (and the cut-and-paste wrong-receiver case) in
-    // both orders against fresh and warm caches.
+    // both orders against fresh and warm caches. Each pass looks up at
+    // a later sim instant than the one before: entries answer only
+    // lookups after their insert instant.
     let warm = VerifyCache::new();
-    assert!(genuine.verify_cached(receiver, &keys, Some(&warm)).is_ok());
+    assert!(genuine.verify_cached(receiver, &keys, Some(&mut warm.at(SimTime(0)))).is_ok());
+    let mut warm_pass = warm.at(SimTime(1));
     for (name, chain) in &fixtures {
         let uncached = chain.verify(receiver, &keys);
         let cold_cache = VerifyCache::new();
-        let cold = chain.verify_cached(receiver, &keys, Some(&cold_cache));
-        let warmed = chain.verify_cached(receiver, &keys, Some(&warm));
+        let cold = chain.verify_cached(receiver, &keys, Some(&mut cold_cache.at(SimTime(1))));
+        let warmed = chain.verify_cached(receiver, &keys, Some(&mut warm_pass));
         assert_eq!(uncached, cold, "{name}: cold cache changed the verdict");
         assert_eq!(uncached, warmed, "{name}: warm cache changed the verdict");
         // And replaying through the same cache (now holding this
         // fixture's own verdicts) still agrees.
-        assert_eq!(uncached, chain.verify_cached(receiver, &keys, Some(&warm)), "{name}: replay");
+        let replayed = chain.verify_cached(receiver, &keys, Some(&mut warm.at(SimTime(2))));
+        assert_eq!(uncached, replayed, "{name}: replay");
     }
     assert_eq!(genuine.verify(receiver, &keys), Ok(()));
     assert!(matches!(truncated.verify(receiver, &keys), Err(SbgpError::ChainLength { .. })));
@@ -119,10 +124,10 @@ fn verify_cache_never_changes_verdicts() {
     // Cut-and-paste: replaying toward the wrong receiver, with a cache
     // already holding `true` for every genuine signature.
     assert!(matches!(
-        genuine.verify_cached(Asn(9), &keys, Some(&warm)),
+        genuine.verify_cached(Asn(9), &keys, Some(&mut warm.at(SimTime(3)))),
         Err(SbgpError::WrongTarget { .. })
     ));
-    assert!(warm.hits() > 0, "warm cache must actually have been consulted");
+    assert!(warm_pass.hits > 0, "warm cache must actually have been consulted");
 }
 
 #[test]

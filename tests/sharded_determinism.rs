@@ -1,10 +1,9 @@
 //! The sharded engine's contract: byte-identical outputs to the serial
 //! engine at any shard count — converged RIBs, event counts, simulator
-//! stats, and per-router counters (modulo `verify_cache_hits`, whose
-//! scope legitimately shrinks with per-shard caches). Exercised over
-//! random topologies, random shard counts, signed mode, and `Malice`
-//! route leaks, so the CI determinism gate rests on more than one
-//! hand-picked workload.
+//! stats, and every per-router counter, verify-cache hits included.
+//! Exercised over random topologies, random shard counts, signed mode,
+//! and `Malice` route leaks, so the CI determinism gate rests on more
+//! than one hand-picked workload.
 
 use proptest::prelude::*;
 use pvr::bgp::{
@@ -54,9 +53,9 @@ fn assert_engines_agree(
     assert_eq!(serial.sim.stats(), sharded.sim.stats(), "{shards} shards");
     assert_eq!(serial.sim.now(), sharded.sim.now(), "{shards} shards");
 
-    // Identical converged RIBs and per-router counters. verify_calls is
-    // part of the shard-invariant projection: the checks *requested*
-    // cannot depend on cache scope, only the hits can.
+    // Identical converged RIBs and per-router counters: one
+    // network-wide verify cache whose entries become visible at the
+    // next sim instant makes even the hit counts engine-invariant.
     for asn in topology.ases() {
         assert_eq!(
             rib_fingerprint(serial.router(asn)),
@@ -64,26 +63,19 @@ fn assert_engines_agree(
             "{asn} RIB at {shards} shards"
         );
         assert_eq!(
-            serial.router(asn).stats().shard_invariant(),
-            sharded.router(asn).stats().shard_invariant(),
+            serial.router(asn).stats(),
+            sharded.router(asn).stats(),
             "{asn} counters at {shards} shards"
-        );
-        // Per-shard caches can only lose reuse opportunities relative
-        // to the serial engine's network-wide cache, never gain them.
-        assert!(
-            sharded.router(asn).stats().verify_cache_hits
-                <= serial.router(asn).stats().verify_cache_hits,
-            "{asn} at {shards} shards: sharded cache hits exceed serial"
         );
     }
 
     // Order-independent network totals (the satellite-3 pin): summed
     // counters agree however the routers are laid out.
-    assert_eq!(
-        serial.router_totals().shard_invariant(),
-        sharded.router_totals().shard_invariant(),
-        "{shards} shards"
-    );
+    assert_eq!(serial.router_totals(), sharded.router_totals(), "{shards} shards");
+    if options.signed {
+        let hits = serial.router_totals().verify_cache_hits;
+        assert!(hits > 0, "the signed run must exercise the cache");
+    }
 }
 
 fn small_internet(seed: u64) -> Topology {
