@@ -62,7 +62,11 @@
 //! captures the network-wide Loc-RIB into a content-addressed
 //! copy-on-write trie ([`pvr_store::PMap`]): snapshot k+1 shares every
 //! unchanged subtree with snapshot k, so a history of hundreds of
-//! snapshots costs memory proportional to churn, not to RIB size.
+//! snapshots costs memory proportional to churn, not to RIB size. A
+//! capture still encodes, sorts and compares every cell (O(RIB)); only
+//! the hashing and allocation are O(changed nodes), through
+//! [`PMap::replace_sorted`]. [`BgpNetwork::rib_fingerprint`] runs the
+//! same pass through [`PMap::root_hash_sorted`] and builds no trie.
 //! [`BgpNetwork::route_at`] answers "what did AS x believe about
 //! prefix p at time t" against that history, and the attack layer's
 //! forensic bisect binary-searches it for the first poisoned instant.
@@ -164,44 +168,32 @@ impl From<WireError> for CheckpointError {
 /// The store key for one Loc-RIB cell: `asn` (4 bytes BE) ‖ prefix
 /// wire. Big-endian ASN keeps the trie's nibble paths grouped per AS,
 /// which is what makes `for_each_under(asn)` and per-AS diffs cheap.
-fn rib_key(asn: Asn, prefix: Prefix) -> Vec<u8> {
-    let mut key = Vec::with_capacity(4 + prefix.encoded_len());
-    key.extend_from_slice(&asn.0.to_be_bytes());
-    prefix.encode(&mut key);
+type RibKey = [u8; 9];
+
+/// The [`RibKey`] of `asn`'s cell for `prefix`.
+fn rib_key(asn: Asn, prefix: Prefix) -> RibKey {
+    let mut key: RibKey = [0; 9];
+    key[..4].copy_from_slice(&asn.0.to_be_bytes());
+    key[4..].copy_from_slice(&prefix.to_bytes());
     key
 }
 
-/// Captures the network-wide Loc-RIB as a COW snapshot layered on
-/// `base`: cells equal to `base`'s are *not* re-inserted (the subtree
-/// stays shared), vanished cells are removed. Starting from the prior
-/// snapshot is what turns a long history into O(churn) memory.
-fn capture_rib(net: &BgpNetwork, base: &PMap) -> PMap {
-    let mut current: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-        std::collections::BTreeMap::new();
-    for asn in net.ases() {
-        let router = net.router(asn);
-        for prefix in router.selected_prefixes() {
-            let cand = router.best_route(prefix).expect("selected prefix has a best route");
-            current.insert(rib_key(asn, prefix), cand.to_wire());
-        }
-    }
-    let mut snap = base.clone();
-    // Remove cells that existed in the base but are gone now.
-    let mut stale: Vec<Vec<u8>> = Vec::new();
-    base.for_each(|key, _| {
-        if !current.contains_key(key) {
-            stale.push(key.to_vec());
-        }
-    });
-    for key in stale {
-        snap = snap.remove(&key);
-    }
-    for (key, value) in current {
-        if snap.get(&key) != Some(value.as_slice()) {
-            snap = snap.insert(&key, &value);
-        }
-    }
-    snap
+/// The network-wide Loc-RIB as `(rib_key, Candidate wire)` cells in
+/// key order, the input [`PMap::replace_sorted`] and
+/// [`PMap::root_hash_sorted`] take.
+fn rib_cells(net: &BgpNetwork) -> Vec<(RibKey, Vec<u8>)> {
+    let mut cells: Vec<(RibKey, Vec<u8>)> = net
+        .ases()
+        .flat_map(|asn| {
+            net.router(asn).best_routes().map(move |(prefix, cand)| {
+                let mut wire = Vec::with_capacity(cand.encoded_len());
+                cand.encode(&mut wire);
+                (rib_key(asn, prefix), wire)
+            })
+        })
+        .collect();
+    cells.sort_unstable_by_key(|(key, _)| *key);
+    cells
 }
 
 // ---------------------------------------------------------------------
@@ -470,20 +462,25 @@ impl BgpNetwork {
             Some((_, map)) => map.clone(),
             None => PMap::new(),
         };
-        let snap = capture_rib(self, &base);
+        // Layered on the prior snapshot: unchanged subtrees stay shared,
+        // so a long history costs memory proportional to churn.
+        let snap = base.replace_sorted(&rib_cells(self));
         let hash = snap.root_hash();
         self.rib_history.push((now, snap));
         hash
     }
 
     /// The content hash of the current network-wide Loc-RIB —
-    /// byte-identical across shard counts for the same logical state.
+    /// byte-identical across shard counts for the same logical state,
+    /// and equal to what [`snapshot_rib`](Self::snapshot_rib) would
+    /// return now. Builds no trie: only nodes that differ from the last
+    /// snapshot (all of them, without history) are hashed.
     pub fn rib_fingerprint(&self) -> Digest {
-        let base = match self.rib_history.last() {
-            Some((_, map)) => map.clone(),
-            None => PMap::new(),
-        };
-        capture_rib(self, &base).root_hash()
+        let cells = rib_cells(self);
+        match self.rib_history.last() {
+            Some((_, map)) => map.root_hash_sorted(&cells),
+            None => PMap::new().root_hash_sorted(&cells),
+        }
     }
 
     /// What `asn` believed about `prefix` at sim time `t`, answered from

@@ -266,6 +266,12 @@ impl LocRib {
         self.best.insert(prefix, cand);
     }
 
+    /// Every `(prefix, selection)` pair, borrowed, in no particular
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &Candidate)> + '_ {
+        self.best.iter().map(|(p, c)| (*p, c))
+    }
+
     /// All selected prefixes, in prefix order.
     pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
         let mut keys: Vec<Prefix> = self.best.keys().copied().collect();

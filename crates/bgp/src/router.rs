@@ -502,6 +502,12 @@ impl BgpRouter {
         self.loc_rib.prefixes().collect()
     }
 
+    /// Every `(prefix, best route)` pair in the Loc-RIB, borrowed, in no
+    /// particular order.
+    pub fn best_routes(&self) -> impl Iterator<Item = (Prefix, &Candidate)> + '_ {
+        self.loc_rib.iter()
+    }
+
     /// `(Adj-RIB-In entries, Loc-RIB selections)` — the scale
     /// experiment E14's RIB-size accounting.
     pub fn rib_entry_counts(&self) -> (usize, usize) {

@@ -93,6 +93,12 @@ impl Prefix {
         self.len
     }
 
+    /// The wire encoding: `addr` big-endian ‖ `len`.
+    pub(crate) fn to_bytes(self) -> [u8; 5] {
+        let [a, b, c, d] = self.addr.to_be_bytes();
+        [a, b, c, d, self.len]
+    }
+
     /// True for the default route `0.0.0.0/0`.
     pub fn is_default(&self) -> bool {
         self.len == 0
@@ -125,8 +131,7 @@ impl std::fmt::Display for Prefix {
 
 impl Wire for Prefix {
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.addr.encode(buf);
-        self.len.encode(buf);
+        buf.extend_from_slice(&self.to_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let addr = u32::decode(r)?;

@@ -107,7 +107,7 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
             }
         }
         let claimed = Digest::decode(&mut r)?;
-        if content_address(&value, &child_hashes) != claimed {
+        if content_address(value.as_deref(), &child_hashes) != claimed {
             return Err(StoreError::NodeHashMismatch { index });
         }
         let mut children: [Option<Arc<Node>>; FANOUT] = std::array::from_fn(|_| None);
@@ -116,9 +116,7 @@ pub fn load_snapshots(bytes: &[u8]) -> Result<Vec<(u64, PMap)>, StoreError> {
                 children[i] = Some(Arc::clone(by_hash.get(h).ok_or(StoreError::MissingChild)?));
             }
         }
-        let node = Node::new(value, children);
-        debug_assert_eq!(node.hash, claimed);
-        by_hash.insert(claimed, Arc::new(node));
+        by_hash.insert(claimed, Arc::new(Node::with_hash(value, children, claimed)));
     }
 
     let root_count = u32::decode(&mut r)?;

@@ -12,6 +12,12 @@
 //!   other subtree with its parent version. Cloning a [`PMap`] is an
 //!   **O(1) snapshot** — exactly what a router needs to retain its RIB
 //!   at a convergence barrier without stalling the event loop.
+//! * [`PMap::replace_sorted`] — the map holding exactly a sorted set of
+//!   entries, built bottom-up in one pass over them and layered on an
+//!   older map. Comparing the entries costs O(entries); hashing and
+//!   allocation cost O(changed nodes), because every node equal to the
+//!   older map's is shared, not rebuilt. [`PMap::root_hash_sorted`]
+//!   runs the same pass for the root hash alone and allocates no node.
 //! * [`diff`] — incremental structural diff between two snapshots:
 //!   shared subtrees are skipped by content hash, so the cost is
 //!   proportional to what actually changed, not to table size.

@@ -17,7 +17,7 @@
 //!   flipped bit anywhere is caught at the node that owns it.
 
 use pvr_crypto::encoding::Wire;
-use pvr_crypto::sha256::{sha256_concat, Digest};
+use pvr_crypto::sha256::{sha256_concat, Digest, Sha256};
 use std::sync::Arc;
 
 /// Children per node: one per key nibble value.
@@ -62,14 +62,30 @@ pub(crate) fn encode_content(
     }
 }
 
-/// The content address for a node with the given parts.
+/// The content address for a node with the given parts:
+/// `SHA-256("pvr.store.node" ‖ encode_content(..))`, streamed into the
+/// hasher part by part so no node allocates to be hashed.
 pub(crate) fn content_address(
-    value: &Option<Vec<u8>>,
+    value: Option<&[u8]>,
     child_hashes: &[Option<Digest>; FANOUT],
 ) -> Digest {
-    let mut buf = Vec::with_capacity(64);
-    encode_content(value, child_hashes, &mut buf);
-    sha256_concat(&[b"pvr.store.node", &buf])
+    let mut h = Sha256::new();
+    h.update(b"pvr.store.node");
+    match value {
+        None => h.update(&[0]),
+        Some(v) => h.update(&[1]).update(&(v.len() as u32).to_be_bytes()).update(v),
+    };
+    let mut bitmap = 0u16;
+    for (i, c) in child_hashes.iter().enumerate() {
+        if c.is_some() {
+            bitmap |= 1 << i;
+        }
+    }
+    h.update(&bitmap.to_be_bytes());
+    for c in child_hashes.iter().flatten() {
+        h.update(&c.0);
+    }
+    h.finalize()
 }
 
 impl Node {
@@ -77,11 +93,26 @@ impl Node {
     pub(crate) fn new(value: Option<Vec<u8>>, children: [Option<Arc<Node>>; FANOUT]) -> Node {
         let child_hashes: [Option<Digest>; FANOUT] =
             std::array::from_fn(|i| children[i].as_ref().map(|c| c.hash));
-        let hash = content_address(&value, &child_hashes);
+        let hash = content_address(value.as_deref(), &child_hashes);
+        Node::with_hash(value, children, hash)
+    }
+
+    /// Builds a node whose content address `hash` the caller has
+    /// already derived from exactly these parts.
+    pub(crate) fn with_hash(
+        value: Option<Vec<u8>>,
+        children: [Option<Arc<Node>>; FANOUT],
+        hash: Digest,
+    ) -> Node {
         let count = usize::from(value.is_some())
             + children.iter().flatten().map(|c| c.count).sum::<usize>();
         Node { value, children, hash, count }
     }
+}
+
+/// The content address of the empty map.
+fn empty_hash() -> Digest {
+    sha256_concat(&[b"pvr.store.empty"])
 }
 
 /// The `i`-th nibble of `key`, high nibble of each byte first.
@@ -128,10 +159,7 @@ impl PMap {
     /// The SHA-256 content address of the whole map. Equal addresses
     /// mean equal contents; the empty map has a distinguished address.
     pub fn root_hash(&self) -> Digest {
-        match &self.root {
-            Some(n) => n.hash,
-            None => sha256_concat(&[b"pvr.store.empty"]),
-        }
+        self.root.as_ref().map_or_else(empty_hash, |n| n.hash)
     }
 
     /// Looks up `key`.
@@ -161,6 +189,37 @@ impl PMap {
                 Some(new_root) => PMap { root: new_root },
             },
         }
+    }
+
+    /// The map holding exactly `entries`, sharing with `self` every
+    /// subtree whose contents `entries` leave unchanged.
+    ///
+    /// One bottom-up pass over the slice, partitioned by nibble: a node
+    /// whose value and child addresses equal `self`'s node at the same
+    /// path *is* that node (the same `Arc`, neither hashed nor
+    /// allocated); every other node is hashed once. Comparing the cells
+    /// costs O(entries × key length); hashing and allocation cost
+    /// O(changed nodes). The result equals applying the same changes
+    /// with [`insert`](Self::insert) and [`remove`](Self::remove), node
+    /// for node.
+    ///
+    /// # Panics
+    ///
+    /// If the keys are not strictly ascending (unsorted or duplicated).
+    pub fn replace_sorted<K: AsRef<[u8]>, V: AsRef<[u8]>>(&self, entries: &[(K, V)]) -> PMap {
+        assert_strictly_ascending(entries);
+        PMap { root: rebuild(self.root.as_ref(), entries, 0) }
+    }
+
+    /// `self.replace_sorted(entries).root_hash()`, computed by the same
+    /// pass without building the map: no node is allocated.
+    ///
+    /// # Panics
+    ///
+    /// If the keys are not strictly ascending (unsorted or duplicated).
+    pub fn root_hash_sorted<K: AsRef<[u8]>, V: AsRef<[u8]>>(&self, entries: &[(K, V)]) -> Digest {
+        assert_strictly_ascending(entries);
+        rebuild(self.root.as_ref(), entries, 0).unwrap_or_else(empty_hash)
     }
 
     /// Visits every `(key, value)` pair in lexicographic key order.
@@ -257,6 +316,81 @@ fn remove_rec(node: &Arc<Node>, key: &[u8], depth: usize) -> Option<Option<Arc<N
         return Some(None);
     }
     Some(Some(Arc::new(Node::new(node.value.clone(), children))))
+}
+
+fn assert_strictly_ascending<K: AsRef<[u8]>, V>(entries: &[(K, V)]) {
+    assert!(
+        entries.windows(2).all(|w| w[0].0.as_ref() < w[1].0.as_ref()),
+        "PMap::replace_sorted needs strictly ascending keys"
+    );
+}
+
+/// What [`rebuild`] produces per subtree: the node itself, or only its
+/// content address.
+trait Rebuilt: Sized {
+    fn address(&self) -> Digest;
+    /// The base subtree, unchanged.
+    fn reuse(base: &Arc<Node>) -> Self;
+    /// A changed node with its freshly derived address.
+    fn make(value: Option<&[u8]>, children: [Option<Self>; FANOUT], hash: Digest) -> Self;
+}
+
+impl Rebuilt for Arc<Node> {
+    fn address(&self) -> Digest {
+        self.hash
+    }
+    fn reuse(base: &Arc<Node>) -> Self {
+        Arc::clone(base)
+    }
+    fn make(value: Option<&[u8]>, children: [Option<Self>; FANOUT], hash: Digest) -> Self {
+        Arc::new(Node::with_hash(value.map(<[u8]>::to_vec), children, hash))
+    }
+}
+
+impl Rebuilt for Digest {
+    fn address(&self) -> Digest {
+        *self
+    }
+    fn reuse(base: &Arc<Node>) -> Self {
+        base.hash
+    }
+    fn make(_: Option<&[u8]>, _: [Option<Self>; FANOUT], hash: Digest) -> Self {
+        hash
+    }
+}
+
+/// The subtree at nibble `depth` holding exactly `entries` (strictly
+/// ascending, all sharing the path's first `depth` nibbles), reusing
+/// `base` where nothing under it changed. `None` for no entries.
+fn rebuild<R: Rebuilt, K: AsRef<[u8]>, V: AsRef<[u8]>>(
+    base: Option<&Arc<Node>>,
+    entries: &[(K, V)],
+    depth: usize,
+) -> Option<R> {
+    // The key ending here sorts before every key extending it.
+    let (value, mut rest) = match entries.split_first() {
+        None => return None,
+        Some(((k, v), rest)) if k.as_ref().len() * 2 == depth => (Some(v.as_ref()), rest),
+        Some(_) => (None, entries),
+    };
+    let mut children: [Option<R>; FANOUT] = std::array::from_fn(|_| None);
+    while let Some((k, _)) = rest.first() {
+        let idx = nibble(k.as_ref(), depth);
+        let (group, tail) =
+            rest.split_at(rest.partition_point(|(k, _)| nibble(k.as_ref(), depth) == idx));
+        children[idx] = rebuild(base.and_then(|b| b.children[idx].as_ref()), group, depth + 1);
+        rest = tail;
+    }
+    let child_hashes = children.each_ref().map(|c| c.as_ref().map(R::address));
+    if let Some(b) = base {
+        let same_children =
+            b.children.iter().zip(&child_hashes).all(|(c, h)| c.as_ref().map(|c| c.hash) == *h);
+        if same_children && b.value.as_deref() == value {
+            return Some(R::reuse(b));
+        }
+    }
+    let hash = content_address(value, &child_hashes);
+    Some(R::make(value, children, hash))
 }
 
 fn walk(node: &Node, nibbles: &mut Vec<u8>, f: &mut impl FnMut(&[u8], &[u8])) {
@@ -516,10 +650,57 @@ mod tests {
         assert_ne!(PMap::new().root_hash(), map_of(&[(b"", b"")]).root_hash());
     }
 
+    #[test]
+    fn replace_sorted_with_no_entries_is_the_empty_map() {
+        let base = map_of(&[(b"a", b"1"), (b"", b"root")]);
+        let none: &[(&[u8], &[u8])] = &[];
+        for m in [PMap::new(), base] {
+            assert!(m.replace_sorted(none).is_empty());
+            assert_eq!(m.root_hash_sorted(none), PMap::new().root_hash());
+        }
+    }
+
+    #[test]
+    fn replace_sorted_refuses_unsorted_or_duplicate_keys() {
+        let base = map_of(&[(b"a", b"1")]);
+        let bad: [&[(&[u8], &[u8])]; 3] = [
+            &[(b"b", b"1"), (b"a", b"2")],
+            &[(b"a", b"1"), (b"a", b"1")],
+            &[(b"ab", b"1"), (b"a", b"2")],
+        ];
+        for entries in bad {
+            let built = std::panic::catch_unwind(|| base.replace_sorted(entries));
+            assert!(built.is_err(), "replace_sorted accepted {entries:?}");
+            let hashed = std::panic::catch_unwind(|| base.root_hash_sorted(entries));
+            assert!(hashed.is_err(), "root_hash_sorted accepted {entries:?}");
+        }
+    }
+
+    #[test]
+    fn replace_sorted_without_changes_is_the_base() {
+        let base = map_of(&[(b"abc", b"1"), (b"xyz", b"2"), (b"", b"0")]);
+        let same = base.replace_sorted(&base.entries());
+        assert!(Arc::ptr_eq(base.root().unwrap(), same.root().unwrap()));
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
         use std::collections::BTreeMap;
+
+        /// Every pair of same-path subtrees with equal content addresses
+        /// is one shared node.
+        fn assert_unchanged_subtrees_shared(old: &Arc<Node>, new: &Arc<Node>) {
+            if old.hash == new.hash {
+                assert!(Arc::ptr_eq(old, new), "unchanged subtree was rebuilt");
+                return;
+            }
+            for (o, n) in old.children.iter().zip(&new.children) {
+                if let (Some(o), Some(n)) = (o, n) {
+                    assert_unchanged_subtrees_shared(o, n);
+                }
+            }
+        }
 
         proptest! {
             #[test]
@@ -577,6 +758,89 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(patched.root_hash(), new.root_hash());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn content_address_streams_the_dump_encoding(
+                value in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..80)),
+                present in any::<u16>(),
+                seed in any::<u8>(),
+            ) {
+                let child_hashes: [Option<Digest>; FANOUT] = std::array::from_fn(|i| {
+                    (present & (1 << i) != 0).then(|| sha256_concat(&[&[seed, i as u8]]))
+                });
+                let mut buf = Vec::new();
+                encode_content(&value, &child_hashes, &mut buf);
+                prop_assert_eq!(
+                    content_address(value.as_deref(), &child_hashes),
+                    sha256_concat(&[b"pvr.store.node", &buf])
+                );
+            }
+
+            #[test]
+            fn replace_sorted_matches_insert_and_remove(
+                base in proptest::collection::btree_map(
+                    proptest::collection::vec(any::<u8>(), 0..4),
+                    proptest::collection::vec(any::<u8>(), 0..3), 0..24),
+                fate in proptest::collection::vec(any::<u8>(), 24),
+                extra in proptest::collection::btree_map(
+                    proptest::collection::vec(any::<u8>(), 0..4),
+                    proptest::collection::vec(any::<u8>(), 0..3), 0..6),
+            ) {
+                // Bytes narrowed to 16 values (both nibbles vary) so keys
+                // share prefixes and whole subtrees go untouched.
+                let narrow = |k: &Vec<u8>| k.iter().map(|b| b & 0x33).collect::<Vec<u8>>();
+                let base: BTreeMap<Vec<u8>, Vec<u8>> =
+                    base.iter().map(|(k, v)| (narrow(k), v.clone())).collect();
+                // Target: each base cell is kept, changed or dropped, and
+                // a few new cells are added.
+                let mut target = BTreeMap::new();
+                for (i, (k, v)) in base.iter().enumerate() {
+                    match fate[i] % 4 {
+                        0 => {}
+                        1 => { target.insert(k.clone(), [v.as_slice(), b"'"].concat()); }
+                        _ => { target.insert(k.clone(), v.clone()); }
+                    }
+                }
+                for (k, v) in &extra {
+                    target.insert(narrow(k), v.clone());
+                }
+
+                let mut old = PMap::new();
+                for (k, v) in &base { old = old.insert(k, v); }
+                let mut reference = old.clone();
+                for k in base.keys().filter(|k| !target.contains_key(*k)) {
+                    reference = reference.remove(k);
+                }
+                for (k, v) in &target { reference = reference.insert(k, v); }
+
+                let entries: Vec<(Vec<u8>, Vec<u8>)> = target.into_iter().collect();
+                let new = old.replace_sorted(&entries);
+                prop_assert_eq!(new.entries(), entries.clone());
+                prop_assert_eq!(new.len(), entries.len());
+                prop_assert_eq!(new.root_hash(), reference.root_hash());
+                prop_assert_eq!(old.root_hash_sorted(&entries), new.root_hash());
+                let changes = diff(&old, &reference);
+                prop_assert_eq!(diff(&old, &new), changes.clone());
+
+                // Sharing: every subtree whose contents did not change is
+                // the base's own node...
+                if let (Some(o), Some(n)) = (old.root(), new.root()) {
+                    assert_unchanged_subtrees_shared(o, n);
+                    // ...in particular every top-level child no change
+                    // falls under.
+                    for i in 0..FANOUT {
+                        let touched = changes.iter().any(|c| c.key().first().map(|b| (b >> 4) as usize) == Some(i));
+                        if let (false, Some(oc)) = (touched, o.children[i].as_ref()) {
+                            let nc = n.children[i].as_ref().expect("untouched child survives");
+                            prop_assert!(Arc::ptr_eq(oc, nc), "top-level child {i} was rebuilt");
+                        }
+                    }
+                }
             }
         }
     }

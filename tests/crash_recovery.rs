@@ -481,6 +481,56 @@ fn checkpoint_bytes_are_pinned() {
     assert!(plain == one, "instantiate and instantiate_sharded(_, 1) checkpoint differently");
 }
 
+/// `rib_fingerprint()` of the 56-AS seed network, plain, converged.
+/// The signed+MRAI network converges to the same Loc-RIB.
+const PINNED_RIB_CONVERGED: &str =
+    "aecd0241b89da1be8d899b2312f4e34be897693dfa2b5a810bb978e0800ef789";
+/// `rib_fingerprint()` of the signed+MRAI network at [`PINNED_KILL_AT`].
+const PINNED_RIB_SIGNED_MID: &str =
+    "6b4253858f0cd0fb72328a67e1eba0d03f5d95cb421e460f8decc48f4f66178e";
+
+/// The RIB fingerprint is pinned on its own, apart from the checkpoint
+/// format, and does not depend on whether a snapshot history exists.
+#[test]
+fn rib_fingerprints_are_pinned() {
+    let (topology, signed) = pinned_network();
+    let plain = InstantiateOptions { seed: signed.seed, ..Default::default() };
+
+    let mut net = topology.instantiate(plain);
+    assert_eq!(net.converge(RunLimits::none()), StopReason::Quiescent);
+    assert_eq!(net.rib_fingerprint().to_hex(), PINNED_RIB_CONVERGED, "plain fingerprint moved");
+
+    let mut net = topology.instantiate(signed);
+    net.converge(RunLimits::until(PINNED_KILL_AT));
+    assert_eq!(net.rib_fingerprint().to_hex(), PINNED_RIB_SIGNED_MID, "mid-run fingerprint moved");
+    assert_eq!(net.converge(RunLimits::none()), StopReason::Quiescent);
+    let fresh = net.rib_fingerprint();
+    assert_eq!(fresh.to_hex(), PINNED_RIB_CONVERGED, "signed fingerprint moved");
+    // With no history the fingerprint hashes every node; after a
+    // snapshot it hashes only what differs from it. Same answer.
+    assert_eq!(net.snapshot_rib(), fresh, "snapshot_rib disagrees with rib_fingerprint");
+    assert_eq!(net.rib_fingerprint(), fresh);
+
+    // A history captured along the way: the fingerprint is layered on
+    // the last snapshot, hashes only the cells changed since, and still
+    // equals a history-free run's.
+    let mut partial = topology.instantiate(signed);
+    partial
+        .converge_with_snapshots(RunLimits::until(SimTime(20_000)), SimDuration::from_millis(10));
+    let at_last_snapshot = partial.rib_fingerprint();
+    partial.converge(RunLimits::until(PINNED_KILL_AT));
+    assert_ne!(partial.rib_fingerprint(), at_last_snapshot, "no churn after the last snapshot");
+    assert_eq!(partial.rib_fingerprint().to_hex(), PINNED_RIB_SIGNED_MID);
+
+    let mut with_history = topology.instantiate(signed);
+    let reason =
+        with_history.converge_with_snapshots(RunLimits::none(), SimDuration::from_millis(10));
+    assert_eq!(reason, StopReason::Quiescent);
+    assert!(with_history.snapshot_times().len() > 2, "expected a history");
+    assert_eq!(with_history.rib_fingerprint(), fresh);
+    assert_eq!(with_history.snapshot_rib(), fresh);
+}
+
 #[test]
 fn checkpoint_state_sections_match_across_shard_counts() {
     // One network-wide verify cache makes every section but META
