@@ -4,13 +4,8 @@
 The determinism gate runs the scale experiments (e14, and e15 when
 selected) once per shard count and asserts the outputs are
 byte-for-byte identical after stripping the fields that are *allowed*
-to differ:
-
-- wall-clock timings (machine noise) and the shard count itself (the
-  run's parameter, not its result);
-- e18's checkpoint byte size — the checkpoint file's ENGINE section
-  encodes per-engine scheduler state, so serial and sharded files for
-  the same logical instant legitimately differ in size.
+to differ: wall-clock timings (machine noise) and the shard count
+itself (the run's parameter, not its result).
 
 Every other metric — e14's AS/edge/origin counts, event totals, peak
 RIB size, bytes on the wire, O(1) short-circuits; e15's metrics series
@@ -23,11 +18,12 @@ derived, no timing fields at all); e17's baseline/private event
 counts, sim-time convergence, sim-time privacy-overhead multiplier,
 batch occupancy, and the full SMC bill (requests, batches, rounds,
 bits broadcast, modeled latency, verdict tally); e18's convergence
-events, snapshot/checkpoint counts, replayed events,
-`recovered_identical` verdict, the converged RIB's SHA-256 (both
+events, snapshot/checkpoint counts, the last checkpoint's byte size
+(the ENGINE section lists pending events in global order, whatever the
+shard count), replayed events, `recovered_identical` verdict, the converged RIB's SHA-256 (both
 e14's per-cell `final_rib_sha256` and e18's), and the hijack-bisect
-forensic row — must survive unchanged, or the sharded engine has
-diverged from the serial one.
+forensic row — must survive unchanged, or a shard count has diverged
+from the one-shard run.
 
 Usage: normalize_e14.py BENCH.json > normalized.json
 """
@@ -94,9 +90,6 @@ def normalize_e18(e18):
         "checkpoint_write_secs",
         "write_mb_per_sec",
         "recovery_wall_secs",
-        # Engine-local, not timing: the file's ENGINE section encodes
-        # per-shard scheduler state, so its size differs by design.
-        "last_checkpoint_bytes",
     )
     rows = [
         {k: v for k, v in sorted(r.items()) if k not in timing}

@@ -22,11 +22,10 @@
 //! inspection, not internet-scale stress.
 //!
 //! `--shards LIST` (comma-separated, e.g. `--shards 1,2,4`) selects the
-//! shard counts e14, e15, e16, e17, and e18 run at. The shard count
-//! picks the engine (`pvr_netsim::Engine`): 1 runs the serial engine,
-//! and more run the sharded engine with that many worker calendars.
-//! Defaults to `1`, or `1,2` under `--quick` so CI smoke covers both
-//! engines. Deterministic e14/e15/e16/e17/e18 fields are identical at
+//! shard counts e14, e15, e16, e17, and e18 run at: the number of worker
+//! calendars of the engine (`pvr_netsim::Simulator`). Defaults to `1`,
+//! or `1,2` under `--quick` so CI smoke covers cross-shard exchange.
+//! Deterministic e14/e15/e16/e17/e18 fields are identical at
 //! every shard count; the CI determinism job diffs them.
 //!
 //! `--checkpoint-every MS` sets e18's checkpoint cadence in sim-time
@@ -97,8 +96,8 @@ const QUICK_SCALE: usize = 500;
 /// its journals and timelines are operator-inspection artifacts, not a
 /// stress test (e14 covers internet scale).
 const E15_MAX_SCALE: usize = 1000;
-/// E14/e15 shard counts under `--quick`: serial plus one sharded run,
-/// so CI smoke exercises both engines.
+/// E14/e15 shard counts under `--quick`: one and two shards, so CI
+/// smoke exercises cross-shard exchange.
 const QUICK_SHARDS: &[usize] = &[1, 2];
 /// E16's default continuous-churn event count (`--churn` overrides).
 const DEFAULT_CHURN: usize = 64;

@@ -855,7 +855,7 @@ pub struct E14Cell {
     pub scale: usize,
     /// Security mode label (`plain` / `signed` / `pvr`).
     pub mode: &'static str,
-    /// Shard count the run used (1 = the serial engine). Every
+    /// Shard count the run used (the engine's worker calendars). Every
     /// deterministic field in this cell is identical across shard
     /// counts — the CI determinism gate diffs exactly that.
     pub shards: usize,
@@ -915,8 +915,8 @@ pub fn e14_params(ases: usize) -> InternetParams {
 
 /// E14 — internet-scale route propagation: converged `internet_like`
 /// runs at a ladder of AS counts (56 → 1 000 → `max_scale`) under
-/// `Plain`/`Signed`/`Pvr`, at each requested shard count (1 = the
-/// serial engine, >1 = the sharded engine), reporting topology size,
+/// `Plain`/`Signed`/`Pvr`, at each requested shard count (the engine's
+/// worker calendars), reporting topology size,
 /// convergence events, events/sec, peak RIB entries, bytes on the wire,
 /// and the incremental decision path's short-circuit count. Everything
 /// except the timing columns is deterministic *and identical across
@@ -949,7 +949,7 @@ pub fn e14_scale(max_scale: usize, shard_counts: &[usize]) -> (String, Vec<E14Ce
         .unwrap();
     writeln!(out, " pvr shares the signed substrate — its import path is identical, audits")
         .unwrap();
-    writeln!(out, " are post-hoc; shards=1 is the serial engine, >1 the sharded engine)").unwrap();
+    writeln!(out, " are post-hoc; shards is the engine's worker-calendar count)").unwrap();
     writeln!(
         out,
         "{:>6} {:<7} {:>6} {:>6} {:>7} {:>8} {:>10} {:>10} {:>10} {:>14} {:>11} {:>12}",
@@ -1347,8 +1347,8 @@ fn edge_endpoints(edge: &pvr_bgp::Edge) -> (Asn, Asn) {
 
 /// E16's seeded fault plan over real topology links: two flapping links
 /// (down/up ramps through the churn window) and one session that resets
-/// twice. Node ids come from `net`, but both engines assign them
-/// identically, so the plan is engine-independent.
+/// twice. Node ids come from `net`, and every shard count assigns them
+/// identically, so the plan is shard-count independent.
 fn e16_fault_plan(
     topology: &pvr_bgp::Topology,
     net: &pvr_bgp::BgpNetwork,
@@ -1722,7 +1722,7 @@ pub fn e16_churn(
 pub struct E17Row {
     /// Requested AS-count scale.
     pub scale: usize,
-    /// Shard count (1 = the serial engine).
+    /// Shard count (the engine's worker calendars).
     pub shards: usize,
     /// Batch width the verifier packed requests into (≤ 64 lanes).
     pub lane_cap: usize,
@@ -1998,7 +1998,7 @@ pub const E18_DEFAULT_EVERY_MS: u64 = 10;
 /// everything else is deterministic and identical across shard counts.
 #[derive(Clone, Debug)]
 pub struct E18Row {
-    /// Shard count (1 = the serial engine). Run parameter.
+    /// Shard count (the engine's worker calendars). Run parameter.
     pub shards: usize,
     /// Convergence events of the uninterrupted run (deterministic).
     pub events: u64,
@@ -2034,7 +2034,7 @@ pub struct E18Row {
 }
 
 /// E18's forensic row: the snapshot bisect over a hijack run's COW
-/// history (serial engine; all fields sim-time deterministic).
+/// history (one shard; all fields sim-time deterministic).
 #[derive(Clone, Debug)]
 pub struct E18Forensic {
     /// Snapshots the hijack run retained.
@@ -2267,8 +2267,8 @@ pub fn e18_durability(
 
     // Forensic bisect: a delayed hijack under COW snapshots, then
     // binary-search the history for the first poisoned instant. Plain
-    // substrate (no origin validation — the hijack must land) on the
-    // serial engine.
+    // substrate (no origin validation — the hijack must land) at one
+    // shard.
     let mut hijack_top = internet_like(e14_params(scale), 18);
     let victim_prefix = hijack_top
         .ases()

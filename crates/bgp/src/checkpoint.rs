@@ -1,8 +1,8 @@
 //! Crash-consistent checkpoint/restore and copy-on-write RIB history.
 //!
-//! This is the durability layer ISSUE 10 adds on top of the
-//! deterministic engines: a converging network can be checkpointed to
-//! one self-contained file at an engine-invariant instant, a crashed
+//! This is the durability layer on top of the deterministic engine: a
+//! converging network can be checkpointed to one self-contained file at
+//! a shard-count-invariant instant, a crashed
 //! run can be restored from the last checkpoint and replayed, and the
 //! recovered run is **byte-identical** to an uninterrupted one — same
 //! RIB fingerprints, same [`pvr_netsim::SimStats`], same metrics
@@ -15,14 +15,15 @@
 //!
 //! A checkpoint is taken between [`converge`](BgpNetwork::converge)
 //! slices bounded by [`RunLimits::until`]. A deadline stop drains every
-//! event strictly before the deadline on both engines — the same
-//! drained-instant condition the PR 9 barrier hook relies on — so the
-//! instant is engine-invariant: serial and sharded runs checkpoint
-//! identical logical states, and only the META and ENGINE sections
-//! differ between their files.
+//! event up to the deadline at every shard count — the same
+//! drained-instant condition the barrier hook relies on — so the
+//! instant is shard-count invariant: runs at any shard count checkpoint
+//! identical logical states, and their files differ only in META
+//! (engine kind, shard count). The ENGINE section lists pending events
+//! in global `(time, seq)` order, whichever shard holds them.
 //!
-//! A `max_events` stop may land mid-instant, with events still due at
-//! the clock. Verify-cache entries inserted at that instant must stay
+//! A `max_events` stop is event-exact at every shard count too, but may
+//! land mid-instant, with events still due at the clock. Verify-cache entries inserted at that instant must stay
 //! invisible until the restored clock advances, so CACHE flags them
 //! (a bit in the verdict byte, see [`crate::sbgp::VerifyCache`]).
 //!
@@ -35,7 +36,7 @@
 //! | tag | section   | payload                                            |
 //! |-----|-----------|----------------------------------------------------|
 //! | 1   | `META`    | engine kind, shard count, options, topology, origin table |
-//! | 2   | `ENGINE`  | engine `save_state` bytes (clock, calendars, DRBGs) |
+//! | 2   | `ENGINE`  | engine `save_state` bytes (clock, link DRBG, pending events) |
 //! | 3   | `ROUTERS` | per-AS dynamic router state (RIBs, timers, counters) |
 //! | 4   | `CACHE`   | verify-cache count (1 signed, 0 plain), then its calls, hits, sorted entries |
 //! | 5   | `STORE`   | COW RIB snapshot history (`pvr-store` dump)         |
@@ -77,7 +78,7 @@ use crate::topology::{BgpNetwork, InstantiateOptions, OriginTable, Topology};
 use crate::types::{Asn, Prefix};
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::sha256::Digest;
-use pvr_netsim::{Engine, RunLimits, SimDuration, SimTime, StateError, StopReason};
+use pvr_netsim::{RunLimits, SimDuration, SimTime, StateError, StopReason};
 use pvr_store::{
     dump_snapshots, load_snapshots, read_container, require_section, write_header, write_section,
     PMap, StoreError,
@@ -97,9 +98,11 @@ const SEC_ROUTERS: u8 = 3;
 const SEC_CACHE: u8 = 4;
 const SEC_STORE: u8 = 5;
 
-/// META engine-kind byte for the serial engine.
+/// META engine-kind byte at one shard. The byte is redundant with the
+/// shard count that follows it; it stays for format stability, and the
+/// two must agree.
 const KIND_SERIAL: u8 = 0;
-/// META engine-kind byte for the sharded engine.
+/// META engine-kind byte at two or more shards.
 const KIND_SHARDED: u8 = 1;
 
 /// Why a checkpoint could not be written or restored.
@@ -115,7 +118,7 @@ pub enum CheckpointError {
     /// damaged section by tag.
     Store(StoreError),
     /// The engine refused to save/load its state, or the engine bytes
-    /// don't fit this network (node/shard-count mismatch).
+    /// don't fit this network (node-count mismatch).
     State(StateError),
     /// A payload failed to decode (truncation, bad discriminant).
     Wire(WireError),
@@ -201,10 +204,7 @@ fn rib_cells(net: &BgpNetwork) -> Vec<(RibKey, Vec<u8>)> {
 
 fn meta_bytes(net: &BgpNetwork) -> Result<Vec<u8>, CheckpointError> {
     let mut buf = Vec::new();
-    buf.push(match net.sim {
-        Engine::Serial(_) => KIND_SERIAL,
-        Engine::Sharded(_) => KIND_SHARDED,
-    });
+    buf.push(if net.sim.shard_count() == 1 { KIND_SERIAL } else { KIND_SHARDED });
     (net.sim.shard_count() as u64).encode(&mut buf);
     net.options.encode(&mut buf);
     net.topology.encode(&mut buf);
@@ -340,8 +340,8 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     if shards == 0 || shards > 4096 {
         return Err(CheckpointError::Corrupt("implausible shard count"));
     }
-    // The serial engine is exactly the one-shard engine: any other
-    // pairing was not written by this program.
+    // Kind 0 is exactly one shard: any other pairing was not written
+    // by this program.
     if (engine_kind == KIND_SERIAL) != (shards == 1) {
         return Err(CheckpointError::Corrupt("engine kind does not match the shard count"));
     }
@@ -355,8 +355,8 @@ fn decode_meta(payload: &[u8]) -> Result<Meta, CheckpointError> {
     Ok(Meta { shards, options, topology, origin_table })
 }
 
-/// Restores a network from checkpoint bytes, on the engine and shard
-/// count META names. Everything is parsed and validated against the
+/// Restores a network from checkpoint bytes, at the shard count META
+/// names. Everything is parsed and validated against the
 /// freshly instantiated network before any state is applied; on any
 /// error the partially-built network is dropped and the caller keeps
 /// nothing.
@@ -509,8 +509,8 @@ impl BgpNetwork {
     }
 
     /// Restores a network from a checkpoint written by
-    /// [`checkpoint`](Self::checkpoint), on the engine and shard count
-    /// the file names. Fully validating: a corrupt or mismatched file
+    /// [`checkpoint`](Self::checkpoint), at the shard count the file
+    /// names. Fully validating: a corrupt or mismatched file
     /// yields a typed error and no network. The result picks up exactly
     /// where the saved run stopped — replaying it is byte-identical to
     /// never having crashed.
@@ -521,7 +521,7 @@ impl BgpNetwork {
 
     /// Runs to quiescence (or `limits`) capturing a COW RIB snapshot
     /// every `every` of sim time. Slice boundaries are deadline stops,
-    /// which every engine drains identically, so the snapshots land at
+    /// which every shard count drains identically, so the snapshots land at
     /// shard-count-invariant instants.
     pub fn converge_with_snapshots(&mut self, limits: RunLimits, every: SimDuration) -> StopReason {
         self.converge_in_slices(limits, every, |net, _| {

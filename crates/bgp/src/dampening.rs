@@ -8,8 +8,8 @@
 //! releases it once the penalty falls *below*
 //! [`DampeningPolicy::reuse_threshold`] — but the arithmetic is pure
 //! integer math: whole half-lives are right-shifts and the fractional
-//! remainder is a piecewise-linear interpolation, so every router in
-//! both engines computes bit-identical penalties (no floating-point
+//! remainder is a piecewise-linear interpolation, so every router at
+//! every shard count computes bit-identical penalties (no floating-point
 //! `exp`, no rounding-mode drift).
 
 use pvr_crypto::encoding::{Reader, Wire, WireError};

@@ -21,7 +21,7 @@
 //! * [`checkpoint`] — crash-consistent checkpoint/restore and the
 //!   copy-on-write RIB snapshot history (time travel, forensics);
 //! * [`partition`] — deterministic AS → shard assignment for the
-//!   sharded engine;
+//!   engine's worker calendars;
 //! * [`workload`] — flaps, bursts, churn.
 //!
 //! ## Implemented / omitted (smoltcp-style expectations)

@@ -1,4 +1,4 @@
-//! Deterministic AS → shard assignment for the sharded engine.
+//! Deterministic AS → shard assignment for the engine's worker calendars.
 //!
 //! The sharded simulator's outputs are identical for *any* node
 //! placement (see `pvr_netsim::shard`), so the partitioner only has to

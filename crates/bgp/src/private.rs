@@ -13,11 +13,11 @@
 //!    (selected) path length plus each tier candidate's length, one
 //!    per neighbor — the per-party secret inputs of an SMC session.
 //! 2. **Flush.** At every calendar-queue barrier (a drained sim-time
-//!    instant — the one point both engines provably share state, see
-//!    [`pvr_netsim::BarrierHook`]), pending requests are sorted by the
-//!    engine-invariant key `(asn, router-local sequence)`, grouped by
-//!    party count, packed ≤ `lane_cap` per batch, and pushed through
-//!    one batched [`min_circuit`] pass (is the claim really the tier
+//!    instant — a point where every shard count provably holds the
+//!    same state, see [`pvr_netsim::BarrierHook`]), pending requests
+//!    are sorted by the engine-invariant key `(asn, router-local
+//!    sequence)`, grouped by party count, packed ≤ `lane_cap` per
+//!    batch, and pushed through one batched [`min_circuit`] pass (is the claim really the tier
 //!    minimum?) and one batched [`majority_circuit`] pass (do a
 //!    majority of neighbors find the claim plausible — the §3.6-style
 //!    gossip aggregation) per batch.
@@ -34,7 +34,7 @@
 //! *arrival* order, but every flush sorts by `(asn, seq)`; a router's
 //! own event order is engine-invariant, so flush content and order
 //! are too. Batch DRBGs derive from the verifier seed with a per-flush
-//! label (the sharded engine's `from_u64_labeled` recipe) — and per
+//! label (`HmacDrbg::from_u64_labeled`) — and per
 //! the randomness-independence argument in [`pvr_smc::batch`], GMW
 //! verdicts and stats don't depend on that randomness at all. Verdict
 //! timers are emitted in batch order, nodes ascending. The result:

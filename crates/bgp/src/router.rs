@@ -200,10 +200,9 @@ pub struct BgpRouter {
     /// Upper bound on the random extra delay added each time the MRAI
     /// timer is armed (RFC 4271's jitter, §9.2.1.1 / §10).
     mrai_jitter: Option<SimDuration>,
-    /// Router-owned DRBG the MRAI jitter draws from. Deliberately not
-    /// the engine's `ctx.rng()`: the sharded engine hands each shard
-    /// its own DRBG, so engine randomness consumed inside agents would
-    /// diverge between the serial and sharded runs.
+    /// Router-owned DRBG the MRAI jitter draws from (the engine gives
+    /// agents no randomness), so the draws follow this router's own
+    /// event order at every shard count.
     jitter_rng: Option<HmacDrbg>,
     /// Route-flap dampening policy (`None` = dampening off).
     dampening: Option<DampeningPolicy>,

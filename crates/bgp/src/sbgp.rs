@@ -259,8 +259,8 @@ impl std::fmt::Debug for AttestationChain {
 /// function of the event set alone.
 #[derive(Debug, Default)]
 pub struct VerifyCache {
-    /// Verdict and insert instant per key. Worker threads of the
-    /// sharded engine share the lock; what a lookup may *use* never
+    /// Verdict and insert instant per key. The engine's worker threads
+    /// share the lock; what a lookup may *use* never
     /// depends on who took it first.
     verdicts: Mutex<HashMap<CacheKey, (bool, SimTime)>>,
 }

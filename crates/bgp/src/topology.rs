@@ -19,7 +19,7 @@ use pvr_crypto::drbg::HmacDrbg;
 use pvr_crypto::encoding::{Reader, Wire, WireError};
 use pvr_crypto::keys::{Identity, KeyStore};
 use pvr_netsim::{
-    Engine, FaultPlan, LinkConfig, NodeId, RunLimits, SimDuration, SimTime, StopReason,
+    FaultPlan, LinkConfig, NodeId, RunLimits, SimDuration, SimTime, Simulator, StopReason,
 };
 use pvr_store::PMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -279,8 +279,8 @@ impl Topology {
 
     /// Generates per-AS RSA identities for signed mode — always from
     /// the single `"bgp-identities"` DRBG stream in ascending-ASN
-    /// order, so both engines (and every shard count) derive identical
-    /// keys for the same seed.
+    /// order, so every shard count derives identical keys for the same
+    /// seed.
     fn generate_identities(&self, options: InstantiateOptions) -> Option<SignedKeys> {
         if !options.signed {
             return None;
@@ -326,9 +326,8 @@ impl Topology {
         }
         if let Some(jitter) = options.mrai_jitter {
             // Router-owned jitter DRBG, seeded per AS: identical draws
-            // in the serial and sharded engines regardless of shard
-            // layout (the engine's own DRBGs are per-shard and must not
-            // leak into agent behaviour).
+            // at every shard count (the engine gives agents no
+            // randomness of its own).
             let rng = HmacDrbg::from_u64_labeled(options.seed, &format!("bgp-mrai-{}", asn.0));
             router.set_mrai_jitter(jitter, rng);
         }
@@ -352,17 +351,16 @@ impl Topology {
         router
     }
 
-    /// Instantiates the topology on one shard: the serial engine.
+    /// Instantiates the topology on one shard.
     /// Equivalent to [`Topology::instantiate_sharded`]`(options, 1)`.
     pub fn instantiate(&self, options: InstantiateOptions) -> BgpNetwork {
         self.instantiate_sharded(options, 1)
     }
 
     /// Instantiates the topology, partitioning the AS graph across
-    /// `shards` worker calendars (see [`crate::partition`]). One shard
-    /// (or zero) runs the serial engine, more run the sharded engine
-    /// (see [`pvr_netsim::Engine`]). Node ids, key material, and all
-    /// deterministic run outputs are identical at every shard count.
+    /// `shards` worker calendars (see [`crate::partition`]; zero is
+    /// one). Node ids, key material, and all deterministic run outputs
+    /// are identical at every shard count.
     ///
     /// Signed mode installs one network-wide [`VerifyCache`], so a
     /// chain already checked upstream is not re-verified at every
@@ -371,7 +369,7 @@ impl Topology {
     /// of the shard count.
     pub fn instantiate_sharded(&self, options: InstantiateOptions, shards: usize) -> BgpNetwork {
         let shards = shards.max(1);
-        let mut sim: Engine<BgpUpdate> = Engine::new(options.seed, shards);
+        let mut sim: Simulator<BgpUpdate> = Simulator::new(options.seed, shards);
         sim.set_default_link(options.link);
         if let Some(window) = options.timeline_window {
             sim.enable_timeline(window);
@@ -402,7 +400,7 @@ impl Topology {
             if let Some(verifier) = &private_verifier {
                 router.set_private_verifier(Arc::clone(verifier));
             }
-            let node = sim.add_node(Box::new(router), assignment[&asn]);
+            let node = sim.add_node_to_shard(Box::new(router), assignment[&asn]);
             node_of.insert(asn, node);
         }
 
@@ -700,8 +698,8 @@ fn merge_trace_jsonl<'a>(routers: impl Iterator<Item = (Asn, &'a BgpRouter)>) ->
 /// An instantiated network: engine plus AS → node mapping, at any shard
 /// count.
 pub struct BgpNetwork {
-    /// The underlying engine: serial at one shard, sharded above.
-    pub sim: Engine<BgpUpdate>,
+    /// The underlying engine, at the network's shard count.
+    pub sim: Simulator<BgpUpdate>,
     node_of: BTreeMap<Asn, NodeId>,
     keystore: Option<Arc<KeyStore>>,
     verify_cache: Option<Arc<VerifyCache>>,

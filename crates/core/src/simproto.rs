@@ -310,7 +310,7 @@ impl SimRoundReport {
 
 /// Builds a simulated round from a [`Figure1Bed`], honest or Byzantine.
 pub fn build_sim_round(bed: &Figure1Bed, behavior: Option<Misbehavior>, sim_seed: u64) -> SimRound {
-    let mut sim: Simulator<PvrMsg> = Simulator::new(sim_seed);
+    let mut sim: Simulator<PvrMsg> = Simulator::new(sim_seed, 1);
     let keys = Arc::new(bed.keys.clone());
 
     // Create verifier agents first (so A knows their node ids), then A.

@@ -4,9 +4,9 @@
 //! A [`FaultPlan`] is a list of `(time, fault)` pairs installed into
 //! either engine before (or during) a run. Faults fire as their own sim
 //! instants, *before* any queued event carrying the same timestamp, so
-//! a fault schedule perturbs a run at reproducible points: the serial
-//! and sharded engines apply the same plan in the same order and stay
-//! byte-identical at any shard count.
+//! a fault schedule perturbs a run at reproducible points: every shard
+//! count applies the same plan in the same order and stays
+//! byte-identical.
 //!
 //! Faults are *network*-level (the same layer as [`LinkConfig`]
 //! partitions): topology-aware semantics — flushing RIBs, flooding

@@ -7,11 +7,11 @@
 //! material for the §2.3 Confidentiality audit).
 //!
 //! Design notes (following the smoltcp philosophy from the project
-//! guides): synchronous poll-driven core, no hidden threads, no
+//! guides): synchronous poll-driven core (worker threads live only
+//! inside one time window, scoped, at two or more shards), no
 //! wall-clock reads, simple data structures. Determinism is a feature
 //! under test: identical seeds reproduce identical traces, bit for bit.
 
-pub mod engine;
 pub mod fault;
 pub mod link;
 pub mod shard;
@@ -19,13 +19,11 @@ pub mod sim;
 pub mod state;
 pub mod time;
 
-pub use engine::Engine;
 pub use fault::{Fault, FaultPlan};
 pub use link::LinkConfig;
-pub use shard::ShardedSimulator;
+pub use shard::Simulator;
 pub use sim::{
-    Agent, BarrierHook, Context, Delivery, NodeId, Payload, RunLimits, SimStats, Simulator,
-    StopReason,
+    Agent, BarrierHook, Context, Delivery, NodeId, Payload, RunLimits, SimStats, StopReason,
 };
 pub use state::StateError;
 pub use time::{SimDuration, SimTime};

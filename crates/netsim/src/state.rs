@@ -6,11 +6,12 @@
 //! has not yet applied. Everything else — agents, node layout, link
 //! wiring — is rebuilt by the caller from its own configuration, and
 //! the engine's `load_state` overlays the dynamic state on top. This
-//! module holds the shared codec (`CommonState`, [`Wire`] impls for
-//! the engine's value types) plus the typed [`StateError`]; the
-//! engine-specific halves (`Simulator::save_state`,
-//! `ShardedSimulator::save_state`) live next to their private fields
-//! and delegate here, so the serial and sharded encodings cannot drift.
+//! module holds the codec (`CommonState`, [`Wire`] impls for the
+//! engine's value types) plus the typed [`StateError`];
+//! `Simulator::save_state`/`load_state` live next to the engine's
+//! private fields and delegate here. The layout does not depend on the
+//! shard count: pending events are written in global `(time, seq)`
+//! order, whichever shard holds them.
 //!
 //! Corruption safety: decoding never panics — every shape violation is
 //! a typed error — and the engines apply a decoded state only after it
@@ -42,17 +43,6 @@ pub enum StateError {
         /// Nodes in the target simulator.
         found: usize,
     },
-    /// The target's shard count does not match the saved one. (Full
-    /// engine checkpoints are shard-shaped; cross-shard-count recovery
-    /// goes through the store-level snapshots instead.)
-    ShardCountMismatch {
-        /// Shards in the saved state.
-        expected: usize,
-        /// Shards in the target simulator.
-        found: usize,
-    },
-    /// The bytes were written by the other engine (serial vs sharded).
-    EngineMismatch,
     /// A low-level decoding failure (truncation, bad discriminant).
     Wire(WireError),
     /// A shape violation the wire layer cannot see (node id out of
@@ -70,12 +60,6 @@ impl std::fmt::Display for StateError {
             StateError::NodeCountMismatch { expected, found } => {
                 write!(f, "saved state has {expected} nodes, simulator has {found}")
             }
-            StateError::ShardCountMismatch { expected, found } => {
-                write!(f, "saved state has {expected} shards, simulator has {found}")
-            }
-            StateError::EngineMismatch => {
-                write!(f, "saved state was written by the other engine (serial vs sharded)")
-            }
             StateError::Wire(e) => write!(f, "malformed engine state: {e}"),
             StateError::Corrupt(what) => write!(f, "corrupt engine state: {what}"),
         }
@@ -90,10 +74,10 @@ impl From<WireError> for StateError {
     }
 }
 
-/// Engine discriminant byte leading every engine-state encoding.
-pub(crate) const TAG_SERIAL: u8 = 0;
-/// Engine discriminant for the sharded engine.
-pub(crate) const TAG_SHARDED: u8 = 1;
+/// Layout byte leading every engine-state encoding. It is the only
+/// layout; any other byte (such as the per-shard layout, tag 1, that
+/// older code wrote at two or more shards) is refused as corrupt.
+pub(crate) const STATE_TAG: u8 = 0;
 
 impl Wire for SimTime {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -202,9 +186,8 @@ impl Wire for Fault {
     }
 }
 
-/// Engine state shared verbatim between the serial and sharded
-/// simulators. Queues and DRBG streams are engine-shaped and encoded by
-/// the respective engine on top of this.
+/// Engine state apart from the link DRBG and the pending events, which
+/// the engine encodes on top of this.
 pub(crate) struct CommonState {
     pub(crate) node_count: usize,
     pub(crate) now: SimTime,
@@ -326,8 +309,13 @@ impl CommonState {
             1 => {
                 let window_us = u64::decode(r)?;
                 let channels = u64::decode(r)? as usize;
-                if window_us == 0 || channels == 0 || channels > 64 {
+                if window_us == 0 {
                     return Err(StateError::Corrupt("timeline shape out of range"));
+                }
+                // The engine indexes its channels by constant, so any
+                // other count would panic the first window it records.
+                if channels != pvr_obs::timeline::SIM_CHANNELS {
+                    return Err(StateError::Corrupt("timeline channel count"));
                 }
                 let cell_count = checked_count(r, 8)?;
                 let mut cells = BTreeMap::new();

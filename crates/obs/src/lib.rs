@@ -23,8 +23,8 @@
 //! * [`registry`] — typed counters, gauges, and fixed-bucket
 //!   histograms with label sets; allocation-light [`CounterId`]-style
 //!   handles cached at call sites; deterministic [`Snapshot`] and
-//!   merge so per-shard registries fold into one network view in the
-//!   same order as the serial engine.
+//!   merge so per-shard registries fold into one network view,
+//!   whatever the shard layout.
 //! * [`histogram`] — the fixed-bucket histogram behind the registry
 //!   (`le` buckets are inclusive upper bounds, Prometheus-style).
 //! * [`journal`] — per-router ring-buffered event journal stamped

@@ -7,12 +7,12 @@
 //! sim-time-only tracing rule: wall-clock never appears here).
 //! Channels are either counted into ([`TimelineRecorder::add`]) or
 //! sampled ([`TimelineRecorder::set`], last write wins — used for
-//! queue depth, which both engines sample at the same deterministic
-//! points: whenever a sim-time instant fully drains).
+//! queue depth, which every shard count samples at the same
+//! deterministic points: whenever a sim-time instant fully drains).
 //!
 //! Recorders are per-owner (the simulator keeps one, each router keeps
-//! one) and merge by channel-wise addition, so the sharded engine's
-//! per-router recorders fold to exactly the serial engine's view. The
+//! one) and merge by channel-wise addition, so per-router recorders
+//! fold to the same view whatever the shard layout. The
 //! merged channels are then assembled into a [`ConvergenceTimeline`] —
 //! the operator-facing table of events/sec, queue depth, RIB churn and
 //! verify-cache traffic per window. Every column, cache hits

@@ -1,10 +1,9 @@
-//! The durability layer's recovery contract (ISSUE 10): kill a
-//! converging run at an arbitrary checkpoint instant, restore from the
-//! file, replay — and the recovered run is **byte-identical** to one
-//! that never crashed. Asserted over RIB fingerprints, simulator
-//! stats, and full metrics snapshots; over both engines at shard
-//! counts 1/2/4/8; with and without churn schedules and fault plans in
-//! the path. Plus the corrupt-checkpoint hardening: truncation, bit
+//! The durability layer's recovery contract: kill a converging run at
+//! an arbitrary checkpoint instant, restore from the file, replay — and
+//! the recovered run is **byte-identical** to one that never crashed.
+//! Asserted over RIB fingerprints, simulator stats, and full metrics
+//! snapshots; at shard counts 1/2/4/8; with and without churn schedules
+//! and fault plans in the path. Plus the corrupt-checkpoint hardening: truncation, bit
 //! flips, and version bumps anywhere in the file must surface as typed
 //! errors — never a panic, never a partially-restored network.
 
@@ -16,7 +15,9 @@ use pvr::bgp::{
 use pvr::crypto::drbg::HmacDrbg;
 use pvr::crypto::encoding::Wire;
 use pvr::crypto::sha256::sha256;
-use pvr::netsim::{Fault, FaultPlan, LinkConfig, RunLimits, SimDuration, SimTime, StopReason};
+use pvr::netsim::{
+    Fault, FaultPlan, LinkConfig, RunLimits, SimDuration, SimTime, StateError, StopReason,
+};
 use pvr::store::{framing, read_container, write_header, write_section};
 use std::path::PathBuf;
 
@@ -357,6 +358,7 @@ fn version_bump_is_rejected() {
 /// Section tags and META's engine-kind bytes (see the format table in
 /// `pvr_bgp::checkpoint`).
 const SEC_META: u8 = 1;
+const SEC_ENGINE: u8 = 2;
 const SEC_ROUTERS: u8 = 3;
 const SEC_CACHE: u8 = 4;
 const SEC_STORE: u8 = 5;
@@ -427,6 +429,40 @@ fn engine_kind_must_match_shard_count() {
 }
 
 #[test]
+fn timeline_channel_count_is_checked_on_restore() {
+    // The engine records a fixed set of timeline channels and indexes
+    // them by constant; an ENGINE section claiming another count must
+    // fail restore, not panic the first recorded window.
+    let options = InstantiateOptions {
+        seed: 313,
+        timeline_window: Some(SimDuration::from_millis(5)),
+        ..Default::default()
+    };
+    let bytes = checkpoint_at(small_internet(313).instantiate(options), SimTime(30_000), "tl");
+    // The timeline header inside ENGINE: present ‖ window_us ‖ channels.
+    let mut header = vec![1];
+    5_000u64.encode(&mut header);
+    let channels_at = header.len();
+    3u64.encode(&mut header);
+    for channels in [2u64, 4] {
+        let bad = reframe(&bytes, SEC_ENGINE, |payload| {
+            let at = payload
+                .windows(header.len())
+                .position(|w| w == header.as_slice())
+                .expect("timeline header in ENGINE");
+            let mut count = Vec::new();
+            channels.encode(&mut count);
+            payload[at + channels_at..at + header.len()].copy_from_slice(&count);
+        });
+        let err = must_fail(restore_mutilated(bad, &format!("tl-{channels}")), "channel count");
+        assert!(
+            matches!(err, CheckpointError::State(StateError::Corrupt(msg)) if msg.contains("channel count")),
+            "{channels} channels: got {err:?}"
+        );
+    }
+}
+
+#[test]
 fn sharded_file_restores_through_one_restore() {
     let topology = small_internet(310);
     let options = InstantiateOptions { seed: 310, ..Default::default() };
@@ -462,12 +498,11 @@ fn pinned_network() -> (Topology, InstantiateOptions) {
 
 /// Where the pinned network is cut: mid-convergence.
 const PINNED_KILL_AT: SimTime = SimTime(35_000);
-/// SHA-256 of the pinned checkpoint at one shard (the serial engine),
-/// 954 465 bytes.
+/// SHA-256 of the pinned checkpoint at one shard, 954 465 bytes.
 const PINNED_SHA256_S1: &str = "36e746ed9715a4fb079b252f00fefab4171e564733662bae8189d8ff280d8cd8";
-/// SHA-256 of the pinned checkpoint at two shards, 955 409 bytes. Its
-/// ROUTERS, CACHE and STORE sections equal the one-shard file's.
-const PINNED_SHA256_S2: &str = "5a5faafa36ea8b26a75646b33bd08982693524aef485be5e29ffc30d4aae1325";
+/// SHA-256 of the pinned checkpoint at two shards, 954 465 bytes. Only
+/// META differs from the one-shard file (engine kind, shard count).
+const PINNED_SHA256_S2: &str = "94a301f98a445fd774dfd49c23faf5cfccff52f70c2b86e272acff92b2383f52";
 
 #[test]
 fn checkpoint_bytes_are_pinned() {
@@ -533,10 +568,10 @@ fn rib_fingerprints_are_pinned() {
 
 #[test]
 fn checkpoint_state_sections_match_across_shard_counts() {
-    // One network-wide verify cache makes every section but META
-    // (engine kind, shard count) and ENGINE (per-shard calendars)
-    // independent of the shard count — router counters and cache
-    // hits included.
+    // One network-wide verify cache and one ENGINE layout make every
+    // section but META (engine kind, shard count) independent of the
+    // shard count — router counters, cache hits and the pending-event
+    // calendar included.
     let (topology, options) = pinned_network();
     let files: Vec<Vec<u8>> = [1, 2, 4]
         .into_iter()
@@ -549,7 +584,7 @@ fn checkpoint_state_sections_match_across_shard_counts() {
         let all = framing::read_container(bytes, &CKPT_MAGIC, CKPT_VERSION).expect("well-formed");
         framing::require_section(&all, tag).expect("section present").to_vec()
     };
-    for tag in [SEC_ROUTERS, SEC_CACHE, SEC_STORE] {
+    for tag in [SEC_ENGINE, SEC_ROUTERS, SEC_CACHE, SEC_STORE] {
         let one = sections(&files[0], tag);
         for (bytes, shards) in files[1..].iter().zip([2, 4]) {
             assert!(sections(bytes, tag) == one, "section {tag} differs at {shards} shards");
@@ -616,9 +651,8 @@ fn malformed_cache_sections_are_typed_errors() {
 fn mid_instant_kill_keeps_same_instant_cache_entries_invisible() {
     // Zero base latency with 2 µs of jitter: a third of all sends land
     // at the sending instant, so a receiver re-checks attestations its
-    // sender inserted at that same instant, and the sharded engine too
-    // can stop (by `max_events`, between same-instant cascades) with
-    // events still due at the clock. Entries inserted at that instant
+    // sender inserted at that same instant, and an event budget can
+    // stop, at any shard count, with events still due at the clock. Entries inserted at that instant
     // must come back invisible until the clock advances, or the replay
     // counts hits the never-crashed run did not.
     let topology = small_internet(311);
@@ -641,10 +675,9 @@ fn mid_instant_kill_keeps_same_instant_cache_entries_invisible() {
         let hits = baseline.router_totals().verify_cache_hits;
         assert!(hits > 0, "the run must exercise the cache");
 
-        // Stop one event (or one sharded window) into each instant in
-        // turn until the stop is one where the flags matter: restoring
-        // the same file with them cleared replays to a different hit
-        // count.
+        // Stop one event into each instant in turn until the stop is
+        // one where the flags matter: restoring the same file with them
+        // cleared replays to a different hit count.
         let path = temp_path(&format!("mid-instant-s{shards}"));
         let mut victim = topology.instantiate_sharded(options, shards);
         loop {

@@ -1,6 +1,6 @@
 //! The fault-injection layer's recovery contract: after every fault in
 //! a schedule has fired and the network re-converges, RIB fingerprints
-//! equal a never-faulted baseline's — on both engines. Teardowns flush
+//! equal a never-faulted baseline's — at one shard and more. Teardowns flush
 //! Adj-RIBs and flood withdraws, recoveries re-announce the full
 //! Loc-RIB, and in-flight updates from torn sessions are discarded, so
 //! no fault schedule may leak, lose, or fabricate routing state once it

@@ -1,7 +1,7 @@
-//! The telemetry layer's engine contract: metrics snapshots, timeline
-//! windows, and JSONL traces from the sharded engine are byte-identical
-//! to the serial engine's at shards 2, 4, and 8, verify-cache hit
-//! series included.
+//! The telemetry layer's shard-count contract: metrics snapshots,
+//! timeline windows, and JSONL traces at shards 2, 4, and 8 are
+//! byte-identical to the one-shard run's, verify-cache hit series
+//! included.
 
 use pvr::bgp::{
     internet_like, workload, Asn, DampeningPolicy, Edge, InstantiateOptions, InternetParams, Prefix,

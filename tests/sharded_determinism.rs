@@ -1,16 +1,17 @@
-//! The sharded engine's contract: byte-identical outputs to the serial
-//! engine at any shard count — converged RIBs, event counts, simulator
-//! stats, and every per-router counter, verify-cache hits included.
-//! Exercised over random topologies, random shard counts, signed mode,
-//! and `Malice` route leaks, so the CI determinism gate rests on more
-//! than one hand-picked workload.
+//! The engine's shard-count contract: byte-identical outputs at any
+//! shard count to the one-shard run — converged RIBs, event counts,
+//! simulator stats, and every per-router counter, verify-cache hits
+//! included — and event budgets that stop at the same event. Exercised
+//! over random topologies, random shard counts, signed mode, and
+//! `Malice` route leaks, so the CI determinism gate rests on more than
+//! one hand-picked workload.
 
 use proptest::prelude::*;
 use pvr::bgp::{
     internet_like, Asn, BgpRouter, Candidate, InstantiateOptions, InternetParams, Malice, Prefix,
     Topology,
 };
-use pvr::netsim::{RunLimits, StopReason};
+use pvr::netsim::{LinkConfig, RunLimits, SimDuration, StopReason};
 use std::sync::Arc;
 
 /// The converged Loc-RIB, fully materialized: every selected prefix with
@@ -89,6 +90,40 @@ fn small_internet(seed: u64) -> Topology {
         },
         seed,
     )
+}
+
+#[test]
+fn event_budgets_are_exact_at_every_shard_count() {
+    // Zero base latency with 2 µs of jitter packs many events into one
+    // instant, so most budgets end inside a window: each shard count
+    // must stop after exactly the events the one-shard run stops after.
+    let topology = small_internet(64);
+    let link = LinkConfig {
+        latency: SimDuration::ZERO,
+        jitter: SimDuration::from_micros(2),
+        ..LinkConfig::default()
+    };
+    let options = InstantiateOptions { seed: 64, link, ..Default::default() };
+    let mut full = topology.instantiate(options);
+    assert_eq!(full.converge(RunLimits::none()), StopReason::Quiescent);
+    let total = full.sim.stats().events;
+    let mut mid_instant = 0;
+    for budget in (1..total).step_by((total / 48).max(1) as usize) {
+        let observe = |shards| {
+            let mut net = topology.instantiate_sharded(options, shards);
+            let stop = net.converge(RunLimits { deadline: None, max_events: Some(budget) });
+            let sim = &net.sim;
+            (stop, sim.stats().clone(), sim.now(), sim.pending_at_now(), net.rib_fingerprint())
+        };
+        let one = observe(1);
+        assert_eq!(one.0, StopReason::EventLimit);
+        assert_eq!(one.1.events, budget);
+        mid_instant += usize::from(one.3);
+        for shards in [2, 4] {
+            assert!(observe(shards) == one, "budget {budget}: {shards} shards stop elsewhere");
+        }
+    }
+    assert!(mid_instant > 10, "only {mid_instant} budgets ended inside an instant");
 }
 
 #[test]
